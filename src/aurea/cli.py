@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from .exact import (
     DomainError,
@@ -49,16 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _rat(text: str) -> Fraction:
-    return parse_rational(text)
-
-
 def _rats(values) -> list[str]:
     return [format_rational(v) for v in values]
-
-
-def _surd_record(value: QuadraticSurd) -> dict:
-    return value.to_record()
 
 
 def _parse_surd(text: str) -> QuadraticSurd:
@@ -117,7 +108,9 @@ def _emit(records: list[dict], fmt: str) -> None:
 
 
 def _cmd_horadam(args, digits: int) -> list[dict]:
-    params = RecurrenceParams(_rat(args.w0), _rat(args.w1), _rat(args.p), _rat(args.q))
+    params = RecurrenceParams(
+        parse_rational(args.w0), parse_rational(args.w1), parse_rational(args.p), parse_rational(args.q)
+    )
     start, count = _parse_index_range(args.n)
     if args.fast:
         values = [fast_term(params, k) for k in range(start, start + count)]
@@ -140,7 +133,7 @@ def _cmd_horadam(args, digits: int) -> list[dict]:
 
 
 def _riccati_params(args) -> RiccatiParams:
-    return RiccatiParams(_rat(args.p), _rat(args.q), args.branch)
+    return RiccatiParams(parse_rational(args.p), parse_rational(args.q), args.branch)
 
 
 def _riccati_echo(params: RiccatiParams, **extra) -> dict:
@@ -155,11 +148,12 @@ def _riccati_echo(params: RiccatiParams, **extra) -> dict:
 
 def _cmd_riccati_orbit(args, digits: int) -> list[dict]:
     params = _riccati_params(args)
-    report = iterate_orbit(params, _rat(args.x0), args.n)
+    x0 = parse_rational(args.x0)
+    report = iterate_orbit(params, x0, args.n)
     return [
         {
             "command": "riccati orbit",
-            "params": _riccati_echo(params, x0=format_rational(_rat(args.x0)), n=args.n),
+            "params": _riccati_echo(params, x0=format_rational(x0), n=args.n),
             "result": {
                 "trajectory": _rats(report.trajectory),
                 "status": report.status(),
@@ -171,7 +165,7 @@ def _cmd_riccati_orbit(args, digits: int) -> list[dict]:
 
 def _cmd_riccati_solve(args, digits: int) -> list[dict]:
     params = _riccati_params(args)
-    x0 = _rat(args.x0)
+    x0 = parse_rational(args.x0)
     closed = closed_form_trajectory(params, x0, args.n)
     orbit = iterate_orbit(params, x0, args.n)
     return [
@@ -204,9 +198,9 @@ def _cmd_riccati_classify(args, digits: int) -> list[dict]:
     params = _riccati_params(args)
     if args.surd is not None:
         value = _parse_surd(args.surd)
-        echo_value = {"surd": _surd_record(value)}
+        echo_value = {"surd": value.to_record()}
     elif args.x0 is not None:
-        value = _rat(args.x0)
+        value = parse_rational(args.x0)
         echo_value = {"x0": format_rational(value)}
     else:
         raise ValueError("one of --x0 or --surd is required")
@@ -221,8 +215,9 @@ def _cmd_riccati_classify(args, digits: int) -> list[dict]:
 
 
 def _cmd_riccati_subst_check(args, digits: int) -> list[dict]:
-    params = RiccatiParams(_rat(args.p), _rat(args.q), "plus")
-    report = substitution_check(params, _rat(args.t0), _rat(args.t1), args.n)
+    params = RiccatiParams(parse_rational(args.p), parse_rational(args.q), "plus")
+    t0, t1 = parse_rational(args.t0), parse_rational(args.t1)
+    report = substitution_check(params, t0, t1, args.n)
     status = "completed" if report.pole_step is None else f"pole_at_step({report.pole_step})"
     return [
         {
@@ -230,8 +225,8 @@ def _cmd_riccati_subst_check(args, digits: int) -> list[dict]:
             "params": {
                 "p": format_rational(params.p),
                 "q": format_rational(params.q),
-                "t0": format_rational(_rat(args.t0)),
-                "t1": format_rational(_rat(args.t1)),
+                "t0": format_rational(t0),
+                "t1": format_rational(t1),
                 "n": args.n,
             },
             "result": {
@@ -247,13 +242,14 @@ def _cmd_riccati_subst_check(args, digits: int) -> list[dict]:
 
 
 def _cmd_limits_certificate(args, digits: int) -> list[dict]:
-    cert = certificate(_rat(args.f0), _rat(args.fk), _rat(args.eps))
+    f0, fk = parse_rational(args.f0), parse_rational(args.fk)
+    cert = certificate(f0, fk, parse_rational(args.eps))
     return [
         {
             "command": "limits certificate",
             "params": {
-                "f0": format_rational(_rat(args.f0)),
-                "fk": format_rational(_rat(args.fk)),
+                "f0": format_rational(f0),
+                "fk": format_rational(fk),
                 "eps": format_rational(cert.epsilon),
             },
             "result": {
@@ -266,16 +262,17 @@ def _cmd_limits_certificate(args, digits: int) -> list[dict]:
 
 
 def _cmd_limits_rho(args, digits: int) -> list[dict]:
-    root = dominant_root(_rat(args.r), _rat(args.s))
+    r, s = parse_rational(args.r), parse_rational(args.s)
+    root = dominant_root(r, s)
     return [
         {
             "command": "limits rho",
             "params": {
-                "r": format_rational(_rat(args.r)),
-                "s": format_rational(_rat(args.s)),
+                "r": format_rational(r),
+                "s": format_rational(s),
                 "digits": digits,
             },
-            "result": {"rho": _surd_record(root), "decimal": decimal_str(root, digits)},
+            "result": {"rho": root.to_record(), "decimal": decimal_str(root, digits)},
         }
     ]
 
@@ -295,20 +292,20 @@ def _cmd_limits_cf(args, digits: int) -> list[dict]:
 
 
 def _cmd_limits_estimate(args, digits: int) -> list[dict]:
-    params = RatioParams(_rat(args.r), _rat(args.s), args.parity)
-    seed = (_rat(args.seed0), _rat(args.seed1))
+    params = RatioParams(parse_rational(args.r), parse_rational(args.s), args.parity)
+    seed = (parse_rational(args.seed0), parse_rational(args.seed1))
     estimate = limit_estimate(params, seed, args.direction, args.n)
     result = {
         "ratio": format_rational(estimate.ratio),
         "estimate": decimal_str(estimate.ratio, digits),
-        "target": _surd_record(estimate.target),
+        "target": estimate.target.to_record(),
         "target_decimal": decimal_str(estimate.target, digits),
         "error_decimal": decimal_str(abs(estimate.ratio - estimate.target), digits),
         "claimed": None,
         "claimed_decimal": None,
     }
     if estimate.claimed is not None:
-        result["claimed"] = _surd_record(estimate.claimed)
+        result["claimed"] = estimate.claimed.to_record()
         result["claimed_decimal"] = decimal_str(estimate.claimed, digits)
     return [
         {
@@ -384,9 +381,9 @@ def _cmd_fibfunc_trace(args, digits: int) -> list[dict]:
 def _cmd_fibfunc_verify(args, digits: int) -> list[dict]:
     seed = load_seed(args.seed_file)
     records = []
-    for report in verify_convergence(seed, _rat(args.eps), args.max_steps):
+    for report in verify_convergence(seed, parse_rational(args.eps), args.max_steps):
         result = {
-            "target": _surd_record(report.target),
+            "target": report.target.to_record(),
             "target_decimal": decimal_str(report.target, digits),
             "first_step": report.first_step,
             "converged": report.converged,

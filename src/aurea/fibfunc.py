@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, abs_lt, as_rational, format_rational
+from .horadam import terms, walk
 from .limits import ConvergenceCertificate, RatioParams, STANDARD, certificate, dominant_root
 
 __all__ = [
@@ -81,20 +82,6 @@ class LatticeTrace:
         return self.values[n - self.n_start]
 
 
-def _extend_pair(kind: RatioParams, f0: Fraction, f1: Fraction, n_min: int, n_max: int) -> list[Fraction]:
-    rr, s = kind.middle_coefficient(), kind.s
-    forward = [f0, f1]
-    for _ in range(n_max - 1):
-        forward.append(rr * forward[-1] + s * forward[-2])
-    backward = []
-    a, b = f0, f1
-    for _ in range(-n_min):
-        a, b = (b - rr * a) / s, a
-        backward.append(a)
-    backward.reverse()
-    return backward + forward
-
-
 def extend(seed: PeriodicSeed, n_min: int, n_max: int) -> list[LatticeTrace]:
     """Exact lattice values f(ξ + n*k) for n_min <= n <= n_max on every offset.
 
@@ -103,11 +90,11 @@ def extend(seed: PeriodicSeed, n_min: int, n_max: int) -> list[LatticeTrace]:
     """
     if not (n_min <= 0 and n_max >= 1):
         raise ValueError("range must cover the seed pair: n_min <= 0 and n_max >= 1")
-    traces = []
-    for offset, (f0, f1) in zip(seed.offsets, seed.seed_pairs):
-        values = _extend_pair(seed.kind, f0, f1, n_min, n_max)
-        traces.append(LatticeTrace(offset, n_min, tuple(values)))
-    return traces
+    A, B = seed.kind.plus_form()
+    return [
+        LatticeTrace(offset, n_min, tuple(terms(A, B, f0, f1, n_min, n_max)))
+        for offset, (f0, f1) in zip(seed.offsets, seed.seed_pairs)
+    ]
 
 
 def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: int = 32) -> LatticeTrace:
@@ -122,18 +109,15 @@ def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: in
     f0, f1 = seed.seed_pairs[offset_index]
     if f0 == 0 and f1 == 0:
         raise DomainError(f"degenerate all-zero lattice at offset {offset}")
-    values = _extend_pair(seed.kind, f0, f1, min(n_min, 0), max(n_max + 1, 1))
-    base = min(n_min, 0)
+    values = terms(*seed.kind.plus_form(), f0, f1, n_min, n_max + 1)
     ratios = []
     undefined_at = None
-    for n in range(n_min, n_max + 1):
-        den = values[n + 1 - base]
-        if den == 0:
-            undefined_at = n
+    for i in range(n_max + 1 - n_min):
+        if values[i + 1] == 0:
+            undefined_at = n_min + i
             break
-        ratios.append(values[n - base] / den)
-    window = tuple(values[n_min - base : n_max + 2 - base])
-    return LatticeTrace(offset, n_min, window, tuple(ratios), undefined_at)
+        ratios.append(values[i] / values[i + 1])
+    return LatticeTrace(offset, n_min, tuple(values), tuple(ratios), undefined_at)
 
 
 @dataclass(frozen=True)
@@ -174,7 +158,7 @@ def verify_convergence(
     kind = seed.kind
     rho = dominant_root(kind.r, kind.s)
     target = rho if kind.parity == STANDARD else -rho
-    rr, s = kind.middle_coefficient(), kind.s
+    A, B = kind.plus_form()
     reports = []
     for offset, (f0, f1) in zip(seed.offsets, seed.seed_pairs):
         if f0 == 0 and f1 == 0:
@@ -195,7 +179,7 @@ def verify_convergence(
                 if abs_lt(ratio - target, epsilon):
                     first_step = n
                     break
-            a, b = b, rr * b + s * a
+            a, b = walk(A, B, a, b, 1)
         reports.append(OffsetReport(offset, target, epsilon, first_step, achieved, horizon, cert))
     return reports
 

@@ -1,9 +1,21 @@
-"""Horadam sequences w(n+2) = p*w(n+1) - q*w(n) over exact rationals.
+"""Two-term linear recurrences over exact rationals, all in one "+" form.
 
-Two sign conventions are easy to confuse: the canonical recurrence above
-subtracts q, while the fundamental Lucas sequence used by the closed forms
-satisfies the "+" form u(n+2) = A*u(n+1) + B*u(n).  `fundamental_lucas` takes
-the "+" coefficients explicitly so no silent sign flip can creep in.
+Every stepping question in the library is a run of
+
+    u(k+2) = A*u(k+1) + B*u(k),    B != 0,
+
+walked by `walk` (to one index, backward when the index is negative) and
+`terms` (a contiguous window).  Each parameter type lowers to (A, B) in
+exactly one place, its `plus_form` method:
+
+    RecurrenceParams  w(n+2) = p*w(n+1) - q*w(n)               ->  (p, -q)
+    RatioParams       f(n+2) = ±r*f(n+1) + s*f(n)              ->  (±r, s)
+    RiccatiParams     x -> q/(±p + x), its Lucas closed forms  ->  (p, q)
+
+`fundamental_lucas` and `lucas_window` take (A, B) directly, so no silent
+sign flip can creep in between the canonical Horadam form and the closed
+forms.  The linearising substitution x(n) = t(n)/t(n+1) runs the same kernel
+on (p/q, 1/q).
 """
 
 from __future__ import annotations
@@ -41,6 +53,10 @@ class RecurrenceParams:
         if self.q == 0:
             raise DomainError("q = 0 makes the recurrence non-invertible")
 
+    def plus_form(self) -> tuple[Fraction, Fraction]:
+        """(A, B) = (p, -q) of the "+" form u(k+2) = A*u(k+1) + B*u(k)."""
+        return self.p, -self.q
+
 
 FIBONACCI = RecurrenceParams(0, 1, 1, -1)
 
@@ -53,44 +69,61 @@ class SequenceWindow:
     values: tuple[Fraction, ...]
 
 
-def horadam_term(params: RecurrenceParams, n: int) -> Fraction:
-    """Exact n-th term; negative indices use the inverted recurrence w(n) = (p*w(n+1) - w(n+2))/q."""
-    a, b = params.w0, params.w1
+def walk(A, B, a, b, n: int) -> tuple:
+    """(u(n), u(n+1)) of u(k+2) = A*u(k+1) + B*u(k) from (u(0), u(1)) = (a, b).
+
+    Negative n steps backward with u(k) = (u(k+2) - A*u(k+1)) / B.
+    """
     if n >= 0:
         for _ in range(n):
-            a, b = b, params.p * b - params.q * a
-        return a
-    for _ in range(-n):
-        a, b = (params.p * a - b) / params.q, a
-    return a
+            a, b = b, A * b + B * a
+    else:
+        for _ in range(-n):
+            a, b = (b - A * a) / B, a
+    return a, b
+
+
+def terms(A, B, a, b, lo: int, hi: int) -> list:
+    """u(lo) .. u(hi) inclusive of the same recurrence.
+
+    Terms below index 0 are the ones met on the walk down from (u(0), u(1));
+    the rest come from one walk up to max(lo, 0) and forward steps, so no term
+    is stepped twice.
+    """
+    if hi < lo:
+        return []
+    below = []  # u(-1), u(-2), .., u(lo)
+    x, y = a, b
+    for _ in range(-lo):
+        x, y = walk(A, B, x, y, -1)
+        below.append(x)
+    values = below[::-1][: hi - lo + 1]
+    if hi >= 0:
+        start = max(lo, 0)
+        a, b = walk(A, B, a, b, start)
+        values.append(a)
+        for _ in range(hi - start):
+            a, b = b, A * b + B * a
+            values.append(a)
+    return values
+
+
+def horadam_term(params: RecurrenceParams, n: int) -> Fraction:
+    """Exact n-th term; negative indices use the inverted recurrence w(n) = (p*w(n+1) - w(n+2))/q."""
+    return walk(*params.plus_form(), params.w0, params.w1, n)[0]
 
 
 def window(params: RecurrenceParams, start: int, length: int) -> SequenceWindow:
     """Terms w(start) .. w(start + length - 1)."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    a = horadam_term(params, start)
-    b = horadam_term(params, start + 1)
-    values = []
-    for _ in range(length):
-        values.append(a)
-        a, b = b, params.p * b - params.q * a
+    values = terms(*params.plus_form(), params.w0, params.w1, start, start + length - 1)
     return SequenceWindow(start, tuple(values))
 
 
 def fundamental_lucas(A: Fraction | int | str, B: Fraction | int | str, n: int) -> Fraction:
     """Term of u(n+2) = A*u(n+1) + B*u(n) with u(0) = 0, u(1) = 1, extended to negative n by inversion."""
-    A, B = as_rational(A), as_rational(B)
-    if B == 0:
-        raise DomainError("B = 0 gives a degenerate recurrence")
-    a, b = Fraction(0), Fraction(1)
-    if n >= 0:
-        for _ in range(n):
-            a, b = b, A * b + B * a
-        return a
-    for _ in range(-n):
-        a, b = (b - A * a) / B, a
-    return a
+    return lucas_window(A, B, n, n)[0]
 
 
 def lucas_window(A: Fraction | int | str, B: Fraction | int | str, lo: int, hi: int) -> list[Fraction]:
@@ -98,13 +131,9 @@ def lucas_window(A: Fraction | int | str, B: Fraction | int | str, lo: int, hi: 
     if lo > hi:
         raise ValueError("empty window")
     A, B = as_rational(A), as_rational(B)
-    a = fundamental_lucas(A, B, lo)
-    b = fundamental_lucas(A, B, lo + 1)
-    values = [a]
-    for _ in range(hi - lo):
-        a, b = b, A * b + B * a
-        values.append(a)
-    return values
+    if B == 0:
+        raise DomainError("B = 0 gives a degenerate recurrence")
+    return terms(A, B, Fraction(0), Fraction(1), lo, hi)
 
 
 def _mat_mul(x: tuple, y: tuple) -> tuple:
@@ -120,12 +149,13 @@ def fast_term(params: RecurrenceParams, n: int) -> Fraction:
     """Same value as horadam_term in O(log|n|) big-number steps via companion-matrix powering."""
     if n == 0:
         return params.w0
+    A, B = params.plus_form()
     one, zero = Fraction(1), Fraction(0)
     if n > 0:
-        base = (params.p, -params.q, one, zero)
+        base = (A, B, one, zero)
     else:
-        # inverse of [[p, -q], [1, 0]] (determinant q)
-        base = (zero, one, -1 / params.q, params.p / params.q)
+        # inverse of [[A, B], [1, 0]] (determinant -B)
+        base = (zero, one, 1 / B, -A / B)
     result = (one, zero, zero, one)
     k = abs(n)
     while k:
@@ -146,12 +176,9 @@ def negative_symmetry_check(params: RecurrenceParams, n_max: int) -> tuple[int, 
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    failures = []
-    forward = window(params, 0, n_max + 1).values
-    a, b = params.w0, params.w1  # pair (w(-n), w(-n+1)) while stepping down
-    for n in range(1, n_max + 1):
-        a, b = (params.p * a - b) / params.q, a
-        expected = forward[n] if n % 2 else -forward[n]
-        if a != expected:
-            failures.append(n)
-    return tuple(failures)
+    A, B = params.plus_form()
+    forward = terms(A, B, params.w0, params.w1, 0, n_max)
+    backward = terms(A, B, params.w0, params.w1, -n_max, 0)[::-1]  # backward[n] = w(-n)
+    return tuple(
+        n for n in range(1, n_max + 1) if backward[n] != (forward[n] if n % 2 else -forward[n])
+    )

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, as_rational, quadratic_roots
+from .horadam import terms, walk
 from .riccati import MINUS, PLUS, OrbitReport, RiccatiParams, closed_form_term, iterate_orbit
 
 __all__ = [
@@ -66,6 +67,10 @@ class RatioParams:
 
     def middle_coefficient(self) -> Fraction:
         return self.r if self.parity == STANDARD else -self.r
+
+    def plus_form(self) -> tuple[Fraction, Fraction]:
+        """(A, B) = (±r, s) of the "+" form u(k+2) = A*u(k+1) + B*u(k)."""
+        return self.middle_coefficient(), self.s
 
 
 def ratio_orbit(params: RatioParams, g0: Fraction | int | str, n: int) -> OrbitReport:
@@ -176,14 +181,8 @@ def limit_estimate(
         raise DomainError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a, b = as_rational(seed[0]), as_rational(seed[1])
-    rr, s = params.middle_coefficient(), params.s
-    if direction == FORWARD:
-        for _ in range(n):
-            a, b = b, rr * b + s * a
-    else:
-        for _ in range(n):
-            a, b = (b - rr * a) / s, a
+    steps = n if direction == FORWARD else -n
+    a, b = walk(*params.plus_form(), as_rational(seed[0]), as_rational(seed[1]), steps)
     if a == 0:
         raise DomainError(f"ratio undefined: the term at the final index vanished after {n} steps")
     ratio = b / a
@@ -201,14 +200,11 @@ def limit_estimate(
 def cf_convergent(m: int) -> Fraction:
     """m-term truncation of the all-ones continued fraction [0; 1, 1, ..., 1].
 
-    Folded bottom-up; the value equals F(m)/F(m+1).
+    Folding it bottom-up gives F(m)/F(m+1), read here off the Fibonacci pair.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    value = Fraction(1)
-    for _ in range(m - 1):
-        value = 1 / (1 + value)
-    return value
+    return Fraction(*walk(1, 1, 0, 1, m))
 
 
 @dataclass(frozen=True)
@@ -232,14 +228,13 @@ def nesting_check(n_max: int) -> NestingReport:
     limit = GOLDEN_RATIO - 1
     convergent_failures = []
     ordering_failures = []
+    fib = terms(1, 1, 0, 1, 0, n_max + 1)
     g = Fraction(0)
-    fib_n, fib_next = 0, 1
     for n in range(n_max + 1):
-        if g != Fraction(fib_n, fib_next):
+        if g != Fraction(fib[n], fib[n + 1]):
             convergent_failures.append(n)
         side = (g - limit).sign()
         if side != (-1 if n % 2 == 0 else 1):
             ordering_failures.append(n)
         g = 1 / (1 + g)
-        fib_n, fib_next = fib_next, fib_n + fib_next
     return NestingReport(n_max, tuple(convergent_failures), tuple(ordering_failures))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, QuadraticSurd, as_rational, quadratic_roots
-from .horadam import lucas_window
+from .horadam import lucas_window, terms
 
 __all__ = [
     "MINUS",
@@ -49,6 +49,10 @@ class RiccatiParams:
             raise DomainError(f"p and q must be positive, got p={self.p}, q={self.q}")
         if self.branch not in (PLUS, MINUS):
             raise DomainError(f"branch must be {PLUS!r} or {MINUS!r}, got {self.branch!r}")
+
+    def plus_form(self) -> tuple[Fraction, Fraction]:
+        """(A, B) = (p, q) of the "+" form u(k+2) = A*u(k+1) + B*u(k) behind the closed forms."""
+        return self.p, self.q
 
     def pole(self) -> Fraction:
         """The unique input with a vanishing denominator (also the depth-1 forbidden value)."""
@@ -140,27 +144,19 @@ def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: i
     x0 = as_rational(x0)
     values: list[Fraction] = []
     if params.branch == PLUS:
-        u = lucas_window(params.p, params.q, -1, n + 1)
-
-        def term(k: int) -> Fraction:
-            return u[k + 1]
-
+        u = lucas_window(*params.plus_form(), -1, n + 1)  # u[j] = u(j - 1)
         for k in range(n + 1):
-            den = term(k + 1) + term(k) * x0
+            den = u[k + 2] + u[k + 1] * x0
             if den == 0:
                 raise DomainError(f"initial value {x0} is forbidden at depth {k}")
-            values.append(params.q * (term(k) + term(k - 1) * x0) / den)
+            values.append(params.q * (u[k + 1] + u[k] * x0) / den)
     else:
-        u = lucas_window(params.p, params.q, -(n + 1), 1)
-
-        def term(k: int) -> Fraction:
-            return u[k + n + 1]
-
+        u = lucas_window(*params.plus_form(), -(n + 1), 1)[::-1]  # u[j] = u(1 - j)
         for k in range(n + 1):
-            den = params.q * term(-(k + 1)) + term(-k) * x0
+            den = params.q * u[k + 2] + u[k + 1] * x0
             if den == 0:
                 raise DomainError(f"initial value {x0} is forbidden at depth {k}")
-            values.append((params.q * term(-k) + term(-(k - 1)) * x0) / den)
+            values.append((params.q * u[k + 1] + u[k] * x0) / den)
     return values
 
 
@@ -260,11 +256,9 @@ def substitution_check(
     if t1 == 0:
         raise DomainError("t1 = 0 leaves x0 = t0/t1 undefined")
 
-    t_values = [t0, t1]
-    for _ in range(n):
-        t_values.append((params.p / params.q) * t_values[-1] + t_values[-2] / params.q)
+    t_values = terms(params.p / params.q, 1 / params.q, t0, t1, 0, n + 1)
 
-    u = lucas_window(params.p, params.q, -1, n + 1)
+    u = lucas_window(*params.plus_form(), -1, n + 1)
     closed_form_matches = tuple(
         t_values[k] == params.q ** (1 - k) * (t1 * u[k + 1] + t0 * u[k])
         for k in range(n + 2)

@@ -1,0 +1,137 @@
+"""Property tests for the lowering of every recurrence to the one "+" form kernel.
+
+Each parameter convention gets its own reference stepper here, written out
+in that convention's own signs, so a sign slip where a parameter type is
+converted to (A, B) fails against the reference instead of cancelling out.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from aurea.exact import DomainError  # noqa: E402
+from aurea.fibfunc import PeriodicSeed, extend, ratio_trace  # noqa: E402
+from aurea.horadam import (  # noqa: E402
+    RecurrenceParams,
+    fast_term,
+    fundamental_lucas,
+    horadam_term,
+    lucas_window,
+    window,
+)
+from aurea.limits import BACKWARD, FORWARD, ODD, STANDARD, RatioParams, limit_estimate  # noqa: E402
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+nonzero = rationals.filter(lambda x: x != 0)
+positive = st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=7)
+index = st.integers(-80, 80)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def canonical_terms(w0, w1, p, q, lo, hi):
+    """{k: w(k)} for w(k+2) = p*w(k+1) - q*w(k), stepped out from k = 0 both ways."""
+    values = {0: w0, 1: w1}
+    for k in range(2, hi + 1):
+        values[k] = p * values[k - 1] - q * values[k - 2]
+    for k in range(-1, lo - 1, -1):
+        values[k] = (p * values[k + 1] - values[k + 2]) / q
+    return values
+
+
+def plus_terms(u0, u1, A, B, lo, hi):
+    """{k: u(k)} for u(k+2) = A*u(k+1) + B*u(k)."""
+    values = {0: u0, 1: u1}
+    for k in range(2, hi + 1):
+        values[k] = A * values[k - 1] + B * values[k - 2]
+    for k in range(-1, lo - 1, -1):
+        values[k] = (values[k + 2] - A * values[k + 1]) / B
+    return values
+
+
+def ratio_terms(f0, f1, r, s, parity, lo, hi):
+    """{k: f(k)} for f(k+2) = r*f(k+1) + s*f(k), or -r*f(k+1) + s*f(k) for the odd form."""
+    values = {0: f0, 1: f1}
+    for k in range(2, hi + 1):
+        middle = r * values[k - 1]
+        values[k] = (middle if parity == STANDARD else -middle) + s * values[k - 2]
+    for k in range(-1, lo - 1, -1):
+        middle = r * values[k + 1]
+        values[k] = (values[k + 2] - (middle if parity == STANDARD else -middle)) / s
+    return values
+
+
+@PROPERTY
+@given(w0=rationals, w1=rationals, p=rationals, q=nonzero, n=index, m=index)
+def test_horadam_matches_the_canonical_stepper(w0, w1, p, q, n, m):
+    params = RecurrenceParams(w0, w1, p, q)
+    lo, hi = min(n, m), max(n, m)
+    reference = canonical_terms(w0, w1, p, q, lo, hi)
+    assert horadam_term(params, n) == reference[n]
+    assert fast_term(params, n) == reference[n]
+    run = window(params, lo, hi - lo + 1)
+    assert run.start == lo
+    assert list(run.values) == [reference[k] for k in range(lo, hi + 1)]
+    assert all(type(value) is Fraction for value in run.values)
+
+
+@PROPERTY
+@given(A=rationals, B=nonzero, n=index, m=index)
+def test_fundamental_lucas_matches_the_plus_stepper(A, B, n, m):
+    lo, hi = min(n, m), max(n, m)
+    reference = plus_terms(Fraction(0), Fraction(1), A, B, lo, hi)
+    assert fundamental_lucas(A, B, n) == reference[n]
+    assert lucas_window(A, B, lo, hi) == [reference[k] for k in range(lo, hi + 1)]
+
+
+@PROPERTY
+@given(
+    f0=rationals,
+    f1=rationals,
+    r=positive,
+    s=positive,
+    parity=st.sampled_from([STANDARD, ODD]),
+    n_min=st.integers(-80, 0),
+    n_max=st.integers(1, 80),
+    n=index,
+    m=index,
+)
+def test_lattices_match_the_ratio_stepper(f0, f1, r, s, parity, n_min, n_max, n, m):
+    kind = RatioParams(r, s, parity)
+    seed = PeriodicSeed(1, kind, (0,), ((f0, f1),))
+    reference = ratio_terms(f0, f1, r, s, parity, min(n_min, n, m), max(n_max, n + 1, m + 1))
+    (trace,) = extend(seed, n_min, n_max)
+    assert list(trace.values) == [reference[k] for k in range(n_min, n_max + 1)]
+    if f0 == 0 and f1 == 0:
+        return
+    lo, hi = min(n, m), max(n, m)
+    ratios = ratio_trace(seed, 0, lo, hi)
+    assert list(ratios.values) == [reference[k] for k in range(lo, hi + 2)]
+    zeros = [k for k in range(lo, hi + 1) if reference[k + 1] == 0]
+    assert ratios.ratio_undefined_at == (zeros[0] if zeros else None)
+    stop = zeros[0] if zeros else hi + 1
+    assert list(ratios.ratios) == [reference[k] / reference[k + 1] for k in range(lo, stop)]
+
+
+@PROPERTY
+@given(
+    f0=rationals,
+    f1=rationals,
+    r=positive,
+    s=positive,
+    parity=st.sampled_from([STANDARD, ODD]),
+    n=st.integers(0, 80),
+)
+def test_limit_estimate_matches_the_ratio_stepper_both_ways(f0, f1, r, s, parity, n):
+    params = RatioParams(r, s, parity)
+    reference = ratio_terms(f0, f1, r, s, parity, -n, n + 1)
+    for direction, last in ((FORWARD, n), (BACKWARD, -n)):
+        if reference[last] == 0:
+            with pytest.raises(DomainError):
+                limit_estimate(params, (f0, f1), direction, n)
+        else:
+            estimate = limit_estimate(params, (f0, f1), direction, n)
+            assert estimate.ratio == reference[last + 1] / reference[last]
