@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, abs_lt, as_rational, format_rational
-from .horadam import terms, walk
+from .horadam import clear, terms
 from .limits import ConvergenceCertificate, RatioParams, STANDARD, certificate, dominant_root
 
 __all__ = [
@@ -169,17 +169,18 @@ def verify_convergence(
                 cert = certificate(f0, f1, epsilon)
             elif f0 <= 0 and f1 < 0:
                 cert = certificate(-f0, -f1, epsilon)
-        a, b = f0, f1
+        # f(ξ + (n+1)k) / f(ξ + nk) = w(n+1) / (D*w(n)) on the cleared stream
+        P, Q, x, y, _, D = clear(A, B, f0, f1)
         first_step = None
         achieved = None
         for n in range(horizon + 1):
-            if a != 0:
-                ratio = b / a
+            if x != 0:
+                ratio = Fraction(y, D * x)
                 achieved = ratio
                 if abs_lt(ratio - target, epsilon):
                     first_step = n
                     break
-            a, b = walk(A, B, a, b, 1)
+            x, y = y, P * y + Q * x
         reports.append(OffsetReport(offset, target, epsilon, first_step, achieved, horizon, cert))
     return reports
 

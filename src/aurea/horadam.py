@@ -4,8 +4,8 @@ Every stepping question in the library is a run of
 
     u(k+2) = A*u(k+1) + B*u(k),    B != 0,
 
-walked by `walk` (to one index, backward when the index is negative) and
-`terms` (a contiguous window).  Each parameter type lowers to (A, B) in
+walked by `walk` (to one index), `terms` (a contiguous window) and
+`fast_term` (matrix powers).  Each parameter type lowers to (A, B) in
 exactly one place, its `plus_form` method:
 
     RecurrenceParams  w(n+2) = p*w(n+1) - q*w(n)               ->  (p, -q)
@@ -16,12 +16,24 @@ exactly one place, its `plus_form` method:
 sign flip can creep in between the canonical Horadam form and the closed
 forms.  The linearising substitution x(n) = t(n)/t(n+1) runs the same kernel
 on (p/q, 1/q).
+
+The kernel steps plain ints.  `clear` takes D = lcm(den A, den B) and
+E = lcm(den u(0), den u(1)); then u(k) = w(k) / (E*D**k), where
+
+    w(k+2) = (A*D)*w(k+1) + (B*D**2)*w(k),    w(0) = E*u(0),  w(1) = E*D*u(1),
+
+is an integer recurrence, so each returned term costs one division at the
+end instead of a gcd-reduced Fraction at every step.  A negative index is
+the forward run of the reversed recurrence v(j) = u(-j), with coefficients
+(-A/B, 1/B) and seeds (u(0), u(-1)), so one integer loop serves both
+directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import DomainError, as_rational
 
@@ -69,43 +81,62 @@ class SequenceWindow:
     values: tuple[Fraction, ...]
 
 
-def walk(A, B, a, b, n: int) -> tuple:
-    """(u(n), u(n+1)) of u(k+2) = A*u(k+1) + B*u(k) from (u(0), u(1)) = (a, b).
+def clear(A, B, a, b) -> tuple[int, int, int, int, int, int]:
+    """Integer form (P, Q, w(0), w(1), E, D) of u(k+2) = A*u(k+1) + B*u(k) from (a, b).
 
-    Negative n steps backward with u(k) = (u(k+2) - A*u(k+1)) / B.
+    With D = lcm(den A, den B) and E = lcm(den a, den b), u(k) = w(k) / (E*D**k)
+    where w(k+2) = P*w(k+1) + Q*w(k), P = A*D and Q = B*D**2 are ints.
     """
-    if n >= 0:
-        for _ in range(n):
-            a, b = b, A * b + B * a
-    else:
-        for _ in range(-n):
-            a, b = (b - A * a) / B, a
-    return a, b
+    D = lcm(A.denominator, B.denominator)
+    E = lcm(a.denominator, b.denominator)
+    return (
+        A.numerator * (D // A.denominator),
+        B.numerator * (D // B.denominator) * D,
+        a.numerator * (E // a.denominator),
+        b.numerator * (E // b.denominator) * D,
+        E,
+        D,
+    )
 
 
-def terms(A, B, a, b, lo: int, hi: int) -> list:
+def _reversed(A, B, a, b) -> tuple:
+    """(A', B', v(0), v(1)) of the reversed recurrence v(j) = u(-j): (-A/B, 1/B) from (u(0), u(-1))."""
+    return Fraction(-A, B), Fraction(1, B), a, Fraction(b - A * a, B)
+
+
+def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
+    """u(lo) .. u(hi) for 0 <= lo <= hi, one reduced Fraction per term."""
+    P, Q, x, y, E, D = clear(A, B, a, b)
+    for _ in range(lo):
+        x, y = y, P * y + Q * x
+    den = E * D**lo
+    values = [Fraction(x, den)]
+    for _ in range(hi - lo):
+        x, y = y, P * y + Q * x
+        den *= D
+        values.append(Fraction(x, den))
+    return values
+
+
+def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
     """u(lo) .. u(hi) inclusive of the same recurrence.
 
-    Terms below index 0 are the ones met on the walk down from (u(0), u(1));
-    the rest come from one walk up to max(lo, 0) and forward steps, so no term
-    is stepped twice.
+    Terms below index 0 come from one forward run of the reversed recurrence,
+    the rest from one forward run of u itself, so no term is stepped twice.
     """
     if hi < lo:
         return []
-    below = []  # u(-1), u(-2), .., u(lo)
-    x, y = a, b
-    for _ in range(-lo):
-        x, y = walk(A, B, x, y, -1)
-        below.append(x)
-    values = below[::-1][: hi - lo + 1]
+    values = []
+    if lo < 0:
+        values = _run(*_reversed(A, B, a, b), max(-hi, 1), -lo)[::-1]
     if hi >= 0:
-        start = max(lo, 0)
-        a, b = walk(A, B, a, b, start)
-        values.append(a)
-        for _ in range(hi - start):
-            a, b = b, A * b + B * a
-            values.append(a)
+        values += _run(A, B, a, b, max(lo, 0), hi)
     return values
+
+
+def walk(A, B, a, b, n: int) -> tuple[Fraction, Fraction]:
+    """(u(n), u(n+1)) of u(k+2) = A*u(k+1) + B*u(k) from (u(0), u(1)) = (a, b)."""
+    return tuple(terms(A, B, a, b, n, n + 1))
 
 
 def horadam_term(params: RecurrenceParams, n: int) -> Fraction:
@@ -146,25 +177,28 @@ def _mat_mul(x: tuple, y: tuple) -> tuple:
 
 
 def fast_term(params: RecurrenceParams, n: int) -> Fraction:
-    """Same value as horadam_term in O(log|n|) big-number steps via companion-matrix powering."""
+    """Same value as horadam_term in O(log|n|) big-number steps via companion-matrix powering.
+
+    The integer companion matrix [[P, Q], [1, 0]] of the cleared recurrence
+    is powered, the reversed one's for n < 0, and divided out once.
+    """
     if n == 0:
         return params.w0
-    A, B = params.plus_form()
-    one, zero = Fraction(1), Fraction(0)
-    if n > 0:
-        base = (A, B, one, zero)
-    else:
-        # inverse of [[A, B], [1, 0]] (determinant -B)
-        base = (zero, one, 1 / B, -A / B)
-    result = (one, zero, zero, one)
+    A, B, a, b = *params.plus_form(), params.w0, params.w1
+    if n < 0:
+        A, B, a, b = _reversed(A, B, a, b)
+    P, Q, w0, w1, E, D = clear(A, B, a, b)
     k = abs(n)
+    den = E * D**k
+    base = (P, Q, 1, 0)
+    result = (1, 0, 0, 1)
     while k:
         if k & 1:
             result = _mat_mul(result, base)
         base = _mat_mul(base, base)
         k >>= 1
-    # [w(n+1), w(n)]^T = M^n [w1, w0]^T
-    return result[2] * params.w1 + result[3] * params.w0
+    # [w(|n|+1), w(|n|)]^T = M^|n| [w(1), w(0)]^T
+    return Fraction(result[2] * w1 + result[3] * w0, den)
 
 
 def negative_symmetry_check(params: RecurrenceParams, n_max: int) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log, log1p
 from typing import Sequence
 
 from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, as_rational, quadratic_roots
@@ -37,6 +38,9 @@ __all__ = [
     "nesting_check",
     "ratio_orbit",
 ]
+
+# bits of the largest power certificate() computes; a search near it takes under a second
+_CERTIFICATE_BITS = 1 << 22
 
 STANDARD = "standard"
 ODD = "odd"
@@ -113,8 +117,12 @@ def certificate(
 
     M = fk/(fk + f0) is the orbit's positive floor after one step and
     c = |f0*f0 + f0*fk - fk*fk| / ((2*fk + f0)*(fk + f0)) equals |g2 - g1|
-    exactly; both are computed in exact rationals, and N is found by a linear
-    scan since the tail bound is strictly decreasing.
+    exactly; both are computed in exact rationals.  N is first estimated as
+    2 + (log c - log epsilon)/log(1 + M), then moved to the least index whose
+    tail bound is below epsilon by the exact integer test
+    c_num*eps_den*v**(N-2) < eps_num*c_den*u**(N-2), where 1 + M = u/v; that
+    costs O(log N) big-number multiplications per test, not a scan of N steps.
+    A search whose powers would pass 2**22 bits raises DomainError.
     """
     f0, fk, epsilon = as_rational(f0), as_rational(fk), as_rational(epsilon)
     if not (f0 >= 0 and fk > 0):
@@ -123,11 +131,21 @@ def certificate(
         raise DomainError("epsilon must be positive")
     M = fk / (fk + f0)
     c = abs(f0 * f0 + f0 * fk - fk * fk) / ((2 * fk + f0) * (fk + f0))
-    N = 2
-    bound = c
-    while bound >= epsilon:
+    u, v = (1 + M).numerator, (1 + M).denominator
+    lhs, rhs = c.numerator * epsilon.denominator, epsilon.numerator * c.denominator
+
+    def below(n: int) -> bool:
+        return lhs * v ** (n - 2) < rhs * u ** (n - 2)
+
+    # logs of the ints, since a Fraction this small or large under/overflows a float
+    excess, rate = log(lhs) - log(rhs), log1p(M)
+    if rate == 0 or excess * u.bit_length() > rate * _CERTIFICATE_BITS:
+        raise DomainError("certificate index N is past the exact search budget")
+    N = max(2, 3 + int(excess / rate))
+    while not below(N):
         N += 1
-        bound /= 1 + M
+    while N > 2 and below(N - 1):
+        N -= 1
     return ConvergenceCertificate(M, c, epsilon, N)
 
 

@@ -1,0 +1,39 @@
+"""The certificate's N against a brute-force scan of its definition.
+
+N is the least n >= 2 with tail_bound(n) = c/(1 + M)**(n - 2) < epsilon;
+`certificate` estimates it from logs and fixes it up with exact tests, and the
+scan here walks n up one step at a time instead.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from aurea.limits import certificate  # noqa: E402
+
+
+def scanned_N(f0, fk, epsilon):
+    M = fk / (fk + f0)
+    c = abs(f0 * f0 + f0 * fk - fk * fk) / ((2 * fk + f0) * (fk + f0))
+    n, bound = 2, c
+    while bound >= epsilon:
+        n, bound = n + 1, bound / (1 + M)
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f0=st.fractions(min_value=0, max_value=4, max_denominator=4),
+    fk=st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=4),
+    digits=st.integers(0, 300),
+    mantissa=st.integers(1, 99),
+)
+@example(f0=Fraction(1), fk=Fraction(1), digits=0, mantissa=1)
+@example(f0=Fraction(0), fk=Fraction(1), digits=1, mantissa=5)  # epsilon equals c = 1/2
+def test_certificate_N_matches_the_scan(f0, fk, digits, mantissa):
+    epsilon = Fraction(mantissa, 10**digits)
+    assert certificate(f0, fk, epsilon).N == scanned_N(f0, fk, epsilon)
+

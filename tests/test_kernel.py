@@ -1,0 +1,124 @@
+"""Differential tests for the integer recurrence kernel in `aurea.horadam`.
+
+`walk`, `terms` and `fast_term` clear denominators once and step ints; here
+they are checked against a plain-Fraction stepper that does neither, on seeds
+whose denominators differ from each other and from the coefficients'.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from aurea.exact import abs_lt  # noqa: E402
+from aurea.fibfunc import PeriodicSeed, verify_convergence  # noqa: E402
+from aurea.horadam import RecurrenceParams, fast_term, horadam_term, terms, walk  # noqa: E402
+from aurea.limits import ODD, STANDARD, RatioParams, cf_convergent, nesting_check  # noqa: E402
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+nonzero = rationals.filter(lambda x: x != 0)
+index = st.integers(-150, 150)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def reference(A, B, a, b, lo, hi):
+    """{k: u(k)} for u(k+2) = A*u(k+1) + B*u(k), one Fraction step at a time."""
+    values = {0: Fraction(a), 1: Fraction(b)}
+    for k in range(2, hi + 2):
+        values[k] = A * values[k - 1] + B * values[k - 2]
+    for k in range(-1, lo - 1, -1):
+        values[k] = (values[k + 2] - A * values[k + 1]) / B
+    return values
+
+
+@PROPERTY
+@given(A=rationals, B=nonzero, a=rationals, b=rationals, n=index, m=index)
+@example(A=Fraction(2, 3), B=Fraction(-5, 9), a=Fraction(1, 4), b=Fraction(-5, 6), n=-150, m=150)
+@example(A=Fraction(-7, 2), B=Fraction(3, 8), a=Fraction(-3, 4), b=Fraction(1, 6), n=-1, m=0)
+def test_walk_and_terms_match_the_fraction_stepper(A, B, a, b, n, m):
+    lo, hi = min(n, m), max(n, m)
+    ref = reference(A, B, a, b, lo, hi)
+    assert walk(A, B, a, b, n) == (ref[n], ref[n + 1])
+    values = terms(A, B, a, b, lo, hi)
+    assert values == [ref[k] for k in range(lo, hi + 1)]
+    assert all(type(value) is Fraction for value in values)
+
+
+@PROPERTY
+@given(w0=rationals, w1=rationals, p=rationals, q=nonzero, n=index)
+@example(w0=Fraction(1, 4), w1=Fraction(5, 6), p=Fraction(7, 3), q=Fraction(5, 2), n=-150)
+def test_fast_term_matches_the_fraction_stepper(w0, w1, p, q, n):
+    ref = reference(p, -q, w0, w1, min(n, 0), max(n, 0))
+    assert fast_term(RecurrenceParams(w0, w1, p, q), n) == ref[n]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    w0=rationals,
+    w1=rationals,
+    p=st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    q=st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(lambda x: x != 0),
+    n=st.integers(-2000, 2000),
+)
+def test_fast_term_equals_horadam_term_far_out(w0, w1, p, q, n):
+    params = RecurrenceParams(w0, w1, p, q)
+    assert fast_term(params, n) == horadam_term(params, n)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-9, -4), (-1, -1), (-5, 0), (-1, 1), (-6, 7), (0, 0), (3, 3), (2, 9), (0, -1), (-3, -4), (5, 4)],
+)
+def test_terms_windows(lo, hi):
+    A, B, a, b = Fraction(3, 4), Fraction(-5, 6), Fraction(1, 4), Fraction(-1, 6)
+    ref = reference(A, B, a, b, min(lo, 0), max(hi, 1))
+    assert terms(A, B, a, b, lo, hi) == [ref[k] for k in range(lo, hi + 1)]
+
+
+def _fibs(count):
+    values = [0, 1]
+    while len(values) < count:
+        values.append(values[-1] + values[-2])
+    return values
+
+
+def test_int_inputs_return_the_int_values():
+    fib = _fibs(402)
+    assert walk(1, 1, 0, 1, 400) == (fib[400], fib[401])
+    assert walk(1, 1, 0, 1, -7) == (13, -8)
+    assert terms(1, 1, 0, 1, 0, 401) == fib
+    assert terms(2, -1, 3, 5, 0, 5) == [3, 5, 7, 9, 11, 13]
+    for m in (1, 2, 10, 400):
+        assert cf_convergent(m) == Fraction(fib[m], fib[m + 1])
+    assert nesting_check(60).passed
+
+
+@PROPERTY
+@given(
+    f0=rationals,
+    f1=rationals,
+    r=st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5),
+    s=st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5),
+    parity=st.sampled_from([STANDARD, ODD]),
+    eps=st.sampled_from([Fraction(1, 10), Fraction(1, 10**4), Fraction(3, 10**9)]),
+)
+@example(f0=Fraction(1, 4), f1=Fraction(5, 6), r=Fraction(1), s=Fraction(1), parity=STANDARD, eps=Fraction(1, 10**12))
+def test_verify_convergence_matches_the_fraction_stepper(f0, f1, r, s, parity, eps):
+    if f0 == 0 and f1 == 0:
+        return
+    kind = RatioParams(r, s, parity)
+    (report,) = verify_convergence(PeriodicSeed(1, kind, (0,), ((f0, f1),)), eps, horizon=60)
+    A = r if parity == STANDARD else -r
+    ref = reference(A, s, f0, f1, 0, 61)
+    first_step, achieved = None, None
+    for n in range(61):
+        if ref[n] != 0:
+            achieved = ref[n + 1] / ref[n]
+            if abs_lt(achieved - report.target, eps):
+                first_step = n
+                break
+    assert (report.first_step, report.ratio) == (first_step, achieved)
+

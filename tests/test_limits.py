@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,37 @@ def _case2_orbit(f0, fk, length):
     for _ in range(length):
         values.append(1 / (1 + values[-1]))
     return values
+
+
+@pytest.mark.parametrize("digits, N", [(3, 15), (100, 566), (1000, 5677), (6000, 34071)])
+def test_certificate_N_for_the_golden_seed(digits, N):
+    assert certificate(1, 1, Fraction(1, 10**digits)).N == N
+
+
+@pytest.mark.parametrize("k", [1, 5, 40, 300])
+@pytest.mark.parametrize("nudge, extra", [(0, 3), (Fraction(1, 10**30), 2), (Fraction(-1, 10**30), 3)])
+def test_certificate_N_at_the_boundary(k, nudge, extra):
+    # (1, 1) gives c = 1/6 and 1 + M = 3/2, so tail_bound(k + 2) = c*(2/3)**k; an
+    # epsilon a hair off it has a log estimate that the exact test must correct
+    epsilon = Fraction(1, 6) * Fraction(2, 3) ** k * (1 + nudge)
+    assert certificate(1, 1, epsilon).N == k + extra
+
+
+def test_certificate_far_epsilon_is_prompt():
+    # the N search is logarithmic: C12's 5 s budget, not a scan of 170364 steps
+    start = time.perf_counter()
+    cert = certificate(1, 1, Fraction(1, 10**30000))
+    elapsed = time.perf_counter() - start
+    assert cert.N == 170364
+    assert cert.tail_bound(cert.N) < cert.epsilon <= cert.tail_bound(cert.N - 1)
+    assert elapsed < 5.0, f"certificate took {elapsed:.2f}s"
+
+
+def test_certificate_refuses_a_search_past_its_budget():
+    with pytest.raises(DomainError):
+        certificate(1, 1, Fraction(1, 10**600_000))
+    with pytest.raises(DomainError):
+        certificate(10**400, 1, Fraction(1, 10))  # M = 1/(10**400 + 1) underflows a float
 
 
 def test_certificate_cauchy_soundness_randomised():
