@@ -1,6 +1,11 @@
 """Command-line surface: every operation reachable as a subcommand with
 machine-readable output (JSON lines by default, CSV on request).
 
+Handlers return `{"params", "result"}` records holding plain library values
+(`Fraction`, `QuadraticSurd`, int, str, bool, None and lists of these);
+`_emit` alone writes the wire form, a rational as "num/den" and a surd as
+`{a, b, d}`, after `main` puts the command name first in each record.
+
 Exit codes: 0 success, 2 domain error (pole, forbidden seed, degenerate
 input), 3 argument or parse error.  Records go to stdout, diagnostics to
 stderr.  Output is deterministic for identical arguments.
@@ -10,16 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from fractions import Fraction
 
-from .exact import (
-    DomainError,
-    QuadraticSurd,
-    decimal_str,
-    format_rational,
-    parse_rational,
-)
+from .exact import DomainError, QuadraticSurd, decimal_str, format_rational, parse_rational
 from .fibfunc import extend, load_seed, ratio_trace, verify_convergence
 from .horadam import RecurrenceParams, fast_term, window
 from .limits import (
@@ -40,16 +41,14 @@ from .riccati import (
 
 __all__ = ["main", "run"]
 
+_BRANCHES = ["plus", "minus"]
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argument errors exit 3, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(3)
-
-
-def _rats(values) -> list[str]:
-    return [format_rational(v) for v in values]
 
 
 def _parse_surd(text: str) -> QuadraticSurd:
@@ -70,14 +69,28 @@ def _parse_index_range(text: str) -> tuple[int, int]:
     return int(text), 1
 
 
+# ---------------------------------------------------------------------------
+# wire format
+
+
+def _wire(value):
+    """Wire form of a library value: "num/den" for a Fraction, {a, b, d} for a surd."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, QuadraticSurd):
+        return value.to_record()
+    return value
+
+
 def _flatten(record: dict, prefix: str = "") -> dict[str, str]:
     flat: dict[str, str] = {}
     for key, value in record.items():
         name = f"{prefix}{key}"
+        value = _wire(value)
         if isinstance(value, dict):
             flat.update(_flatten(value, name + "."))
         elif isinstance(value, (list, tuple)):
-            flat[name] = ";".join(str(item) for item in value)
+            flat[name] = ";".join(str(_wire(item)) for item in value)
         elif isinstance(value, bool):
             flat[name] = "true" if value else "false"
         elif value is None:
@@ -87,27 +100,25 @@ def _flatten(record: dict, prefix: str = "") -> dict[str, str]:
     return flat
 
 
-def _emit(records: list[dict], fmt: str) -> None:
+def _emit(records: list[dict], fmt: str) -> str:
+    """The whole output text, built before anything is written so a failed
+    conversion leaves stdout empty."""
     if fmt == "json":
-        for record in records:
-            sys.stdout.write(json.dumps(record) + "\n")
-        return
+        return "".join(json.dumps(record, default=_wire) + "\n" for record in records)
     rows = [_flatten(record) for record in records]
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="", lineterminator="\n")
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fieldnames, restval="", lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# handlers (each returns a list of output records)
+# handlers (each returns a list of {"params", "result"} records)
 
 
-def _cmd_horadam(args, digits: int) -> list[dict]:
+def _cmd_horadam(args) -> list[dict]:
     params = RecurrenceParams(
         parse_rational(args.w0), parse_rational(args.w1), parse_rational(args.p), parse_rational(args.q)
     )
@@ -115,19 +126,11 @@ def _cmd_horadam(args, digits: int) -> list[dict]:
     if args.fast:
         values = [fast_term(params, k) for k in range(start, start + count)]
     else:
-        values = list(window(params, start, count).values)
+        values = window(params, start, count).values
     return [
         {
-            "command": "horadam",
-            "params": {
-                "w0": format_rational(params.w0),
-                "w1": format_rational(params.w1),
-                "p": format_rational(params.p),
-                "q": format_rational(params.q),
-                "n": args.n,
-                "fast": bool(args.fast),
-            },
-            "result": {"start": start, "terms": _rats(values)},
+            "params": {"w0": params.w0, "w1": params.w1, "p": params.p, "q": params.q, "n": args.n, "fast": args.fast},
+            "result": {"start": start, "terms": values},
         }
     ]
 
@@ -137,25 +140,18 @@ def _riccati_params(args) -> RiccatiParams:
 
 
 def _riccati_echo(params: RiccatiParams, **extra) -> dict:
-    echo = {
-        "p": format_rational(params.p),
-        "q": format_rational(params.q),
-        "branch": params.branch,
-    }
-    echo.update(extra)
-    return echo
+    return {"p": params.p, "q": params.q, "branch": params.branch, **extra}
 
 
-def _cmd_riccati_orbit(args, digits: int) -> list[dict]:
+def _cmd_riccati_orbit(args) -> list[dict]:
     params = _riccati_params(args)
     x0 = parse_rational(args.x0)
     report = iterate_orbit(params, x0, args.n)
     return [
         {
-            "command": "riccati orbit",
-            "params": _riccati_echo(params, x0=format_rational(x0), n=args.n),
+            "params": _riccati_echo(params, x0=x0, n=args.n),
             "result": {
-                "trajectory": _rats(report.trajectory),
+                "trajectory": report.trajectory,
                 "status": report.status(),
                 "classification": report.classification.label(),
             },
@@ -163,18 +159,17 @@ def _cmd_riccati_orbit(args, digits: int) -> list[dict]:
     ]
 
 
-def _cmd_riccati_solve(args, digits: int) -> list[dict]:
+def _cmd_riccati_solve(args) -> list[dict]:
     params = _riccati_params(args)
     x0 = parse_rational(args.x0)
     closed = closed_form_trajectory(params, x0, args.n)
     orbit = iterate_orbit(params, x0, args.n)
     return [
         {
-            "command": "riccati solve",
-            "params": _riccati_echo(params, x0=format_rational(x0), n=args.n),
+            "params": _riccati_echo(params, x0=x0, n=args.n),
             "result": {
-                "closed_form": _rats(closed),
-                "orbit": _rats(orbit.trajectory),
+                "closed_form": closed,
+                "orbit": orbit.trajectory,
                 "status": orbit.status(),
                 "match": list(closed) == list(orbit.trajectory),
             },
@@ -182,56 +177,38 @@ def _cmd_riccati_solve(args, digits: int) -> list[dict]:
     ]
 
 
-def _cmd_riccati_forbidden(args, digits: int) -> list[dict]:
+def _cmd_riccati_forbidden(args) -> list[dict]:
     params = _riccati_params(args)
-    elements = forbidden_set(params, args.depth)
     return [
         {
-            "command": "riccati forbidden",
             "params": _riccati_echo(params, depth=args.depth),
-            "result": {"elements": _rats(elements)},
+            "result": {"elements": forbidden_set(params, args.depth)},
         }
     ]
 
 
-def _cmd_riccati_classify(args, digits: int) -> list[dict]:
+def _cmd_riccati_classify(args) -> list[dict]:
     params = _riccati_params(args)
     if args.surd is not None:
         value = _parse_surd(args.surd)
-        echo_value = {"surd": value.to_record()}
-    elif args.x0 is not None:
-        value = parse_rational(args.x0)
-        echo_value = {"x0": format_rational(value)}
+        echo = _riccati_echo(params, depth=args.depth, surd=value)
     else:
-        raise ValueError("one of --x0 or --surd is required")
-    result = classify_initial(params, value, args.depth)
-    return [
-        {
-            "command": "riccati classify",
-            "params": _riccati_echo(params, depth=args.depth, **echo_value),
-            "result": {"classification": result.label()},
-        }
-    ]
+        value = parse_rational(args.x0)
+        echo = _riccati_echo(params, depth=args.depth, x0=value)
+    return [{"params": echo, "result": {"classification": classify_initial(params, value, args.depth).label()}}]
 
 
-def _cmd_riccati_subst_check(args, digits: int) -> list[dict]:
+def _cmd_riccati_subst_check(args) -> list[dict]:
     params = RiccatiParams(parse_rational(args.p), parse_rational(args.q), "plus")
     t0, t1 = parse_rational(args.t0), parse_rational(args.t1)
     report = substitution_check(params, t0, t1, args.n)
     status = "completed" if report.pole_step is None else f"pole_at_step({report.pole_step})"
     return [
         {
-            "command": "riccati subst-check",
-            "params": {
-                "p": format_rational(params.p),
-                "q": format_rational(params.q),
-                "t0": format_rational(t0),
-                "t1": format_rational(t1),
-                "n": args.n,
-            },
+            "params": {"p": params.p, "q": params.q, "t0": t0, "t1": t1, "n": args.n},
             "result": {
-                "t_values": _rats(report.t_values),
-                "ratios": _rats(report.ratio_values),
+                "t_values": report.t_values,
+                "ratios": report.ratio_values,
                 "status": status,
                 "orbit_match": all(report.orbit_matches),
                 "closed_form_match": all(report.closed_form_matches),
@@ -241,118 +218,93 @@ def _cmd_riccati_subst_check(args, digits: int) -> list[dict]:
     ]
 
 
-def _cmd_limits_certificate(args, digits: int) -> list[dict]:
+def _cmd_limits_certificate(args) -> list[dict]:
     f0, fk = parse_rational(args.f0), parse_rational(args.fk)
     cert = certificate(f0, fk, parse_rational(args.eps))
     return [
         {
-            "command": "limits certificate",
-            "params": {
-                "f0": format_rational(f0),
-                "fk": format_rational(fk),
-                "eps": format_rational(cert.epsilon),
-            },
-            "result": {
-                "M": format_rational(cert.M),
-                "c": format_rational(cert.c),
-                "N": cert.N,
-            },
+            "params": {"f0": f0, "fk": fk, "eps": cert.epsilon},
+            "result": {"M": cert.M, "c": cert.c, "N": cert.N},
         }
     ]
 
 
-def _cmd_limits_rho(args, digits: int) -> list[dict]:
+def _cmd_limits_rho(args) -> list[dict]:
     r, s = parse_rational(args.r), parse_rational(args.s)
     root = dominant_root(r, s)
     return [
         {
-            "command": "limits rho",
-            "params": {
-                "r": format_rational(r),
-                "s": format_rational(s),
-                "digits": digits,
-            },
-            "result": {"rho": root.to_record(), "decimal": decimal_str(root, digits)},
+            "params": {"r": r, "s": s, "digits": args.digits},
+            "result": {"rho": root, "decimal": decimal_str(root, args.digits)},
         }
     ]
 
 
-def _cmd_limits_cf(args, digits: int) -> list[dict]:
+def _cmd_limits_cf(args) -> list[dict]:
     value = cf_convergent(args.m)
     return [
         {
-            "command": "limits cf",
-            "params": {"m": args.m, "digits": digits},
-            "result": {
-                "convergent": format_rational(value),
-                "decimal": decimal_str(value, digits),
-            },
+            "params": {"m": args.m, "digits": args.digits},
+            "result": {"convergent": value, "decimal": decimal_str(value, args.digits)},
         }
     ]
 
 
-def _cmd_limits_estimate(args, digits: int) -> list[dict]:
+def _cmd_limits_estimate(args) -> list[dict]:
+    digits = args.digits
     params = RatioParams(parse_rational(args.r), parse_rational(args.s), args.parity)
     seed = (parse_rational(args.seed0), parse_rational(args.seed1))
     estimate = limit_estimate(params, seed, args.direction, args.n)
-    result = {
-        "ratio": format_rational(estimate.ratio),
-        "estimate": decimal_str(estimate.ratio, digits),
-        "target": estimate.target.to_record(),
-        "target_decimal": decimal_str(estimate.target, digits),
-        "error_decimal": decimal_str(abs(estimate.ratio - estimate.target), digits),
-        "claimed": None,
-        "claimed_decimal": None,
-    }
-    if estimate.claimed is not None:
-        result["claimed"] = estimate.claimed.to_record()
-        result["claimed_decimal"] = decimal_str(estimate.claimed, digits)
+    claimed = estimate.claimed
     return [
         {
-            "command": "limits estimate",
             "params": {
-                "r": format_rational(params.r),
-                "s": format_rational(params.s),
+                "r": params.r,
+                "s": params.s,
                 "parity": params.parity,
                 "direction": args.direction,
                 "n": args.n,
-                "seed": [format_rational(seed[0]), format_rational(seed[1])],
+                "seed": seed,
                 "digits": digits,
             },
-            "result": result,
+            "result": {
+                "ratio": estimate.ratio,
+                "estimate": decimal_str(estimate.ratio, digits),
+                "target": estimate.target,
+                "target_decimal": decimal_str(estimate.target, digits),
+                "error_decimal": decimal_str(abs(estimate.ratio - estimate.target), digits),
+                "claimed": claimed,
+                "claimed_decimal": None if claimed is None else decimal_str(claimed, digits),
+            },
         }
     ]
 
 
-def _fibfunc_echo(args, seed, **extra) -> dict:
-    echo = {
+def _fibfunc_echo(args, seed, offset: Fraction, **extra) -> dict:
+    kind = seed.kind
+    return {
         "seed_file": args.seed_file,
-        "k": format_rational(seed.period),
-        "kind": seed.kind.parity,
-        "r": format_rational(seed.kind.r),
-        "s": format_rational(seed.kind.s),
+        "k": seed.period,
+        "kind": kind.parity,
+        "r": kind.r,
+        "s": kind.s,
+        "offset": offset,
+        **extra,
     }
-    echo.update(extra)
-    return echo
 
 
-def _cmd_fibfunc_extend(args, digits: int) -> list[dict]:
+def _cmd_fibfunc_extend(args) -> list[dict]:
     seed = load_seed(args.seed_file)
-    records = []
-    for trace in extend(seed, args.nmin, args.nmax):
-        records.append(
-            {
-                "command": "fibfunc extend",
-                "params": _fibfunc_echo(
-                    args, seed, offset=format_rational(trace.offset), nmin=args.nmin, nmax=args.nmax
-                ),
-                "result": {"n_start": trace.n_start, "values": _rats(trace.values)},
-            }
-        )
-    return records
+    return [
+        {
+            "params": _fibfunc_echo(args, seed, trace.offset, nmin=args.nmin, nmax=args.nmax),
+            "result": {"n_start": trace.n_start, "values": trace.values},
+        }
+        for trace in extend(seed, args.nmin, args.nmax)
+    ]
 
 
-def _cmd_fibfunc_trace(args, digits: int) -> list[dict]:
+def _cmd_fibfunc_trace(args) -> list[dict]:
     seed = load_seed(args.seed_file)
     if args.offset_index is None:
         indices = range(len(seed.offsets))
@@ -360,56 +312,36 @@ def _cmd_fibfunc_trace(args, digits: int) -> list[dict]:
         indices = [args.offset_index]
     else:
         raise ValueError(f"offset index {args.offset_index} out of range (seed has {len(seed.offsets)} offsets)")
-    records = []
-    for index in indices:
-        trace = ratio_trace(seed, index, args.nmin, args.nmax)
-        records.append(
-            {
-                "command": "fibfunc trace",
-                "params": _fibfunc_echo(
-                    args, seed, offset=format_rational(trace.offset), nmin=args.nmin, nmax=args.nmax
-                ),
-                "result": {
-                    "ratios": _rats(trace.ratios or ()),
-                    "undefined_at": trace.ratio_undefined_at,
-                },
-            }
-        )
-    return records
+    traces = (ratio_trace(seed, index, args.nmin, args.nmax) for index in indices)
+    return [
+        {
+            "params": _fibfunc_echo(args, seed, trace.offset, nmin=args.nmin, nmax=args.nmax),
+            "result": {"ratios": trace.ratios or [], "undefined_at": trace.ratio_undefined_at},
+        }
+        for trace in traces
+    ]
 
 
-def _cmd_fibfunc_verify(args, digits: int) -> list[dict]:
+def _cmd_fibfunc_verify(args) -> list[dict]:
+    digits = args.digits
     seed = load_seed(args.seed_file)
     records = []
     for report in verify_convergence(seed, parse_rational(args.eps), args.max_steps):
-        result = {
-            "target": report.target.to_record(),
-            "target_decimal": decimal_str(report.target, digits),
-            "first_step": report.first_step,
-            "converged": report.converged,
-            "error_decimal": None,
-            "certificate": None,
-        }
-        if report.ratio is not None:
-            result["error_decimal"] = decimal_str(abs(report.ratio - report.target), digits)
-        if report.certificate is not None:
-            result["certificate"] = {
-                "M": format_rational(report.certificate.M),
-                "c": format_rational(report.certificate.c),
-                "N": report.certificate.N,
-            }
+        cert = report.certificate
+        error = None if report.ratio is None else decimal_str(abs(report.ratio - report.target), digits)
         records.append(
             {
-                "command": "fibfunc verify",
                 "params": _fibfunc_echo(
-                    args,
-                    seed,
-                    offset=format_rational(report.offset),
-                    eps=format_rational(report.epsilon),
-                    max_steps=report.horizon,
-                    digits=digits,
+                    args, seed, report.offset, eps=report.epsilon, max_steps=report.horizon, digits=digits
                 ),
-                "result": result,
+                "result": {
+                    "target": report.target,
+                    "target_decimal": decimal_str(report.target, digits),
+                    "first_step": report.first_step,
+                    "converged": report.converged,
+                    "error_decimal": error,
+                    "certificate": None if cert is None else {"M": cert.M, "c": cert.c, "N": cert.N},
+                },
             }
         )
     return records
@@ -419,137 +351,80 @@ def _cmd_fibfunc_verify(args, digits: int) -> list[dict]:
 # parser
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
-    # subparsers copy their own defaults over the parent namespace, so leaf
-    # parsers need distinct dests for the shared output flags
-    suffix = "" if top_level else "_override"
-    parser.add_argument(
-        "--format",
-        dest=f"format{suffix}",
-        choices=["json", "csv"],
-        default=None,
-        help="output format (default json)",
-    )
-    parser.add_argument(
-        "--digits",
-        dest=f"digits{suffix}",
-        type=int,
-        default=None,
-        help="decimal digits for rendered values (default 12)",
-    )
+def _output_flags(parser: argparse.ArgumentParser, format_default, digits_default) -> None:
+    parser.add_argument("--format", choices=["json", "csv"], default=format_default,
+                        help="output format (default json)")
+    parser.add_argument("--digits", type=int, default=digits_default,
+                        help="decimal digits for rendered values (default 12)")
+
+
+def _leaf(sub, command: str, handler, help_text: str, **required) -> argparse.ArgumentParser:
+    """The parser of one command: its output flags, its required flags (a str
+    by default, else the type given or one of the choices listed) and its handler.
+
+    A subparser copies its whole namespace over its parent's: that is how the
+    leaf's full `command` name replaces the top level's first word, and why the
+    leaf's output flags default to SUPPRESS, so they override the top-level
+    ones only when given.
+    """
+    leaf = sub.add_parser(command.split()[-1], help=help_text)
+    _output_flags(leaf, argparse.SUPPRESS, argparse.SUPPRESS)
+    for name, kind in required.items():
+        spec = {"choices": kind} if isinstance(kind, list) else {"type": kind}
+        leaf.add_argument("--" + name.replace("_", "-"), required=True, **spec)
+    leaf.set_defaults(command=command, handler=handler)
+    return leaf
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="aurea", description="Exact Riccati-type recurrence toolkit")
-    _add_output_flags(parser, top_level=True)
+    _output_flags(parser, "json", 12)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    h = sub.add_parser("horadam", help="terms of w(n+2) = p*w(n+1) - q*w(n)")
-    _add_output_flags(h)
-    h.add_argument("--w0", required=True)
-    h.add_argument("--w1", required=True)
-    h.add_argument("--p", required=True)
-    h.add_argument("--q", required=True)
-    h.add_argument("--n", required=True, help="index or inclusive range like 0..7")
-    h.add_argument("--fast", action="store_true", help="use companion-matrix powering")
-    h.set_defaults(handler=_cmd_horadam)
+    leaf = _leaf(sub, "horadam", _cmd_horadam, "terms of w(n+2) = p*w(n+1) - q*w(n)", w0=str, w1=str, p=str, q=str)
+    leaf.add_argument("--n", required=True, help="index or inclusive range like 0..7")
+    leaf.add_argument("--fast", action="store_true", help="use companion-matrix powering")
 
-    r = sub.add_parser("riccati", help="orbits and structure of x -> q/(±p + x)")
-    rsub = r.add_subparsers(dest="subcommand", required=True)
+    rsub = sub.add_parser("riccati", help="orbits and structure of x -> q/(±p + x)").add_subparsers(
+        dest="subcommand", required=True
+    )
+    _leaf(rsub, "riccati solve", _cmd_riccati_solve, "closed form next to the iterated trajectory",
+          p=str, q=str, branch=_BRANCHES, x0=str, n=int)
+    _leaf(rsub, "riccati orbit", _cmd_riccati_orbit, "iterated trajectory with pole reporting",
+          p=str, q=str, branch=_BRANCHES, x0=str, n=int)
+    _leaf(rsub, "riccati forbidden", _cmd_riccati_forbidden, "backward orbit of the pole",
+          p=str, q=str, branch=_BRANCHES, depth=int)
+    leaf = _leaf(rsub, "riccati classify", _cmd_riccati_classify,
+                 "fixed point / forbidden / regular for an initial value", p=str, q=str, branch=_BRANCHES, depth=int)
+    value = leaf.add_mutually_exclusive_group(required=True)
+    value.add_argument("--x0", help="rational initial value")
+    value.add_argument("--surd", help="quadratic-surd initial value as a,b,d (use --surd=...)")
+    _leaf(rsub, "riccati subst-check", _cmd_riccati_subst_check, "verify the linearising substitution step by step",
+          p=str, q=str, t0=str, t1=str, n=int)
 
-    def riccati_leaf(name: str, help_text: str):
-        leaf = rsub.add_parser(name, help=help_text)
-        _add_output_flags(leaf)
-        leaf.add_argument("--p", required=True)
-        leaf.add_argument("--q", required=True)
-        return leaf
-
-    leaf = riccati_leaf("solve", "closed form next to the iterated trajectory")
-    leaf.add_argument("--branch", choices=["plus", "minus"], required=True)
-    leaf.add_argument("--x0", required=True)
-    leaf.add_argument("--n", type=int, required=True)
-    leaf.set_defaults(handler=_cmd_riccati_solve)
-
-    leaf = riccati_leaf("orbit", "iterated trajectory with pole reporting")
-    leaf.add_argument("--branch", choices=["plus", "minus"], required=True)
-    leaf.add_argument("--x0", required=True)
-    leaf.add_argument("--n", type=int, required=True)
-    leaf.set_defaults(handler=_cmd_riccati_orbit)
-
-    leaf = riccati_leaf("forbidden", "backward orbit of the pole")
-    leaf.add_argument("--branch", choices=["plus", "minus"], required=True)
-    leaf.add_argument("--depth", type=int, required=True)
-    leaf.set_defaults(handler=_cmd_riccati_forbidden)
-
-    leaf = riccati_leaf("classify", "fixed point / forbidden / regular for an initial value")
-    leaf.add_argument("--branch", choices=["plus", "minus"], required=True)
-    leaf.add_argument("--x0", help="rational initial value")
-    leaf.add_argument("--surd", help="quadratic-surd initial value as a,b,d (use --surd=...)")
-    leaf.add_argument("--depth", type=int, required=True)
-    leaf.set_defaults(handler=_cmd_riccati_classify)
-
-    leaf = riccati_leaf("subst-check", "verify the linearising substitution step by step")
-    leaf.add_argument("--t0", required=True)
-    leaf.add_argument("--t1", required=True)
-    leaf.add_argument("--n", type=int, required=True)
-    leaf.set_defaults(handler=_cmd_riccati_subst_check)
-
-    lim = sub.add_parser("limits", help="ratio limits, certificates and convergents")
-    lsub = lim.add_subparsers(dest="subcommand", required=True)
-
-    leaf = lsub.add_parser("certificate", help="Cauchy certificate (M, c, N) for a golden seed pair")
-    _add_output_flags(leaf)
-    leaf.add_argument("--f0", required=True)
-    leaf.add_argument("--fk", required=True)
-    leaf.add_argument("--eps", required=True)
-    leaf.set_defaults(handler=_cmd_limits_certificate)
-
-    leaf = lsub.add_parser("rho", help="positive root of x**2 = r*x + s")
-    _add_output_flags(leaf)
-    leaf.add_argument("--r", required=True)
-    leaf.add_argument("--s", required=True)
-    leaf.set_defaults(handler=_cmd_limits_rho)
-
-    leaf = lsub.add_parser("cf", help="convergent of the all-ones continued fraction")
-    _add_output_flags(leaf)
-    leaf.add_argument("--m", type=int, required=True)
-    leaf.set_defaults(handler=_cmd_limits_cf)
-
-    leaf = lsub.add_parser("estimate", help="final recurrence ratio next to its exact limit")
-    _add_output_flags(leaf)
-    leaf.add_argument("--r", required=True)
-    leaf.add_argument("--s", required=True)
-    leaf.add_argument("--parity", choices=["standard", "odd"], required=True)
-    leaf.add_argument("--direction", choices=["forward", "backward"], required=True)
-    leaf.add_argument("--n", type=int, required=True)
+    lsub = sub.add_parser("limits", help="ratio limits, certificates and convergents").add_subparsers(
+        dest="subcommand", required=True
+    )
+    _leaf(lsub, "limits certificate", _cmd_limits_certificate, "Cauchy certificate (M, c, N) for a golden seed pair",
+          f0=str, fk=str, eps=str)
+    _leaf(lsub, "limits rho", _cmd_limits_rho, "positive root of x**2 = r*x + s", r=str, s=str)
+    _leaf(lsub, "limits cf", _cmd_limits_cf, "convergent of the all-ones continued fraction", m=int)
+    leaf = _leaf(lsub, "limits estimate", _cmd_limits_estimate, "final recurrence ratio next to its exact limit",
+                 r=str, s=str, parity=["standard", "odd"], direction=["forward", "backward"], n=int)
     leaf.add_argument("--seed0", default="1")
     leaf.add_argument("--seed1", default="1")
-    leaf.set_defaults(handler=_cmd_limits_estimate)
 
-    f = sub.add_parser("fibfunc", help="period-k lattice recurrences from a seed file")
-    fsub = f.add_subparsers(dest="subcommand", required=True)
-
-    leaf = fsub.add_parser("extend", help="lattice values per offset")
-    _add_output_flags(leaf)
-    leaf.add_argument("--seed-file", required=True)
-    leaf.add_argument("--nmin", type=int, required=True)
-    leaf.add_argument("--nmax", type=int, required=True)
-    leaf.set_defaults(handler=_cmd_fibfunc_extend)
-
-    leaf = fsub.add_parser("trace", help="ratio orbit per offset")
-    _add_output_flags(leaf)
-    leaf.add_argument("--seed-file", required=True)
+    fsub = sub.add_parser("fibfunc", help="period-k lattice recurrences from a seed file").add_subparsers(
+        dest="subcommand", required=True
+    )
+    _leaf(fsub, "fibfunc extend", _cmd_fibfunc_extend, "lattice values per offset", seed_file=str, nmin=int, nmax=int)
+    leaf = _leaf(fsub, "fibfunc trace", _cmd_fibfunc_trace, "ratio orbit per offset", seed_file=str)
     leaf.add_argument("--nmin", type=int, default=0)
     leaf.add_argument("--nmax", type=int, default=32)
     leaf.add_argument("--offset-index", type=int, default=None)
-    leaf.set_defaults(handler=_cmd_fibfunc_trace)
-
-    leaf = fsub.add_parser("verify", help="per-offset convergence to the predicted root")
-    _add_output_flags(leaf)
-    leaf.add_argument("--seed-file", required=True)
-    leaf.add_argument("--eps", required=True)
+    leaf = _leaf(fsub, "fibfunc verify", _cmd_fibfunc_verify, "per-offset convergence to the predicted root",
+                 seed_file=str, eps=str)
     leaf.add_argument("--max-steps", type=int, default=512)
-    leaf.set_defaults(handler=_cmd_fibfunc_verify)
 
     return parser
 
@@ -560,22 +435,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fmt = getattr(args, "format_override", None) or args.format or "json"
-    digits = getattr(args, "digits_override", None)
-    if digits is None:
-        digits = args.digits if args.digits is not None else 12
-    if digits < 1 or digits > 1000:
+    if args.digits < 1 or args.digits > 1000:
         sys.stderr.write("error: --digits must be between 1 and 1000\n")
         return 3
     try:
-        records = args.handler(args, digits)
+        text = _emit([{"command": args.command, **record} for record in args.handler(args)], args.format)
     except (DomainError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    _emit(records, fmt)
+    sys.stdout.write(text)
     return 0
 
 

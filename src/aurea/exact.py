@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, sqrt
+from math import isqrt, lcm, sqrt
 
 __all__ = [
     "DomainError",
@@ -336,48 +336,35 @@ def quadratic_roots(p: Fraction | int | str, q: Fraction | int | str) -> tuple[Q
     )
 
 
-def _round_fraction(value: Fraction, digits: int) -> str:
-    """Fixed-point decimal string, rounded half away from zero."""
+def decimal_str(value: QuadraticSurd | Fraction | int, digits: int = 12) -> str:
+    """Correctly rounded fixed-point decimal rendering, half away from zero.
+
+    |value|*10**digits + 1/2 is written as (P ± sqrt(R))/Q with integers P,
+    Q > 0 and R zero or a non-square, so its floor, the rounded magnitude in
+    units of the last digit, is exact: (P + isqrt(R)) // Q, or
+    (P - isqrt(R) - 1) // Q for the minus sign.
+    """
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
+    if isinstance(value, QuadraticSurd):
+        a, b, d, negative = value.a, value.b, value.d, value.sign() < 0
+    else:
+        a, b, d = as_rational(value), Fraction(0), 1
+        negative = a < 0
+    if negative:
+        a, b = -a, -b
     scale = 10**digits
-    negative = value < 0
-    magnitude = -value if negative else value
-    scaled = magnitude * scale
-    units, rem = divmod(scaled.numerator, scaled.denominator)
-    if 2 * rem >= scaled.denominator:
-        units += 1
+    rational, root = a * scale + Fraction(1, 2), b * scale
+    q = lcm(rational.denominator, root.denominator)
+    p = rational.numerator * (q // rational.denominator)
+    r = root.numerator * (q // root.denominator)
+    s = isqrt(r * r * d)
+    units = (p + s) // q if r >= 0 else (p - s - 1) // q
     sign = "-" if negative and units > 0 else ""
     whole, frac = divmod(units, scale)
     if digits == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{digits}d}"
-
-
-def _sqrt_approx(d: int, precision: int) -> Fraction:
-    scale = 10**precision
-    return Fraction(isqrt(d * scale * scale), scale)
-
-
-def decimal_str(value: QuadraticSurd | Fraction | int, digits: int = 12) -> str:
-    """Correctly rounded fixed-point decimal rendering.
-
-    Quadratic surds are evaluated at doubling working precision until two
-    successive evaluations round to the same string, so every displayed digit
-    is stable.
-    """
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
-    if isinstance(value, QuadraticSurd) and value.is_rational:
-        value = value.as_fraction()
-    if not isinstance(value, QuadraticSurd):
-        return _round_fraction(as_rational(value), digits)
-    precision = digits + 8
-    previous = None
-    while True:
-        approx = value.a + value.b * _sqrt_approx(value.d, precision)
-        text = _round_fraction(approx, digits)
-        if text == previous:
-            return text
-        previous, precision = text, precision * 2
 
 
 GOLDEN_RATIO = QuadraticSurd(Fraction(1, 2), Fraction(1, 2), 5)

@@ -2,14 +2,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from aurea.cli import main
-from aurea.exact import parse_rational
+from aurea.exact import decimal_str, parse_rational
 
 
 def run_cli(capsys, argv):
@@ -95,6 +97,12 @@ def test_classify_requires_a_value(capsys):
     assert code == 3 and "x0" in err
 
 
+def test_classify_refuses_both_values(capsys):
+    argv = ["riccati", "classify", "--p", "1", "--q", "1", "--branch", "plus", "--depth", "5"]
+    code, out, err = run_cli(capsys, argv + ["--x0", "1", "--surd=-1/2,1/2,5"])
+    assert code == 3 and not out and "--x0" in err
+
+
 def test_subst_check_record(capsys):
     records = run_json(capsys, ["riccati", "subst-check", "--p", "1", "--q", "1", "--t0", "0", "--t1", "1", "--n", "6"])
     result = records[0]["result"]
@@ -142,6 +150,36 @@ def test_csv_format(capsys):
     assert "2/3" in lines[1]
     code, out2, _ = run_cli(capsys, ["limits", "cf", "--m", "3", "--format", "csv"])
     assert out2 == out
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digits",
+    [
+        (["--format", "csv", "limits", "cf", "--m", "3"], "csv", 12),
+        (["--digits", "5", "limits", "cf", "--m", "3"], "json", 5),
+        (["--format", "csv", "limits", "cf", "--m", "3", "--format", "json"], "json", 12),
+        (["--format", "json", "limits", "cf", "--m", "3", "--format", "csv"], "csv", 12),
+        (["--digits", "5", "limits", "cf", "--m", "3", "--digits", "7"], "json", 7),
+        (["--digits", "7", "--format", "csv", "limits", "cf", "--m", "3", "--digits", "4"], "csv", 4),
+    ],
+)
+def test_leaf_output_flags_override_top_level(capsys, argv, fmt, digits):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    decimal = decimal_str(Fraction(2, 3), digits)
+    if fmt == "json":
+        assert json.loads(out)["result"] == {"convergent": "2/3", "decimal": decimal}
+    else:
+        assert out.splitlines()[1] == f"limits cf,3,{digits},2/3,{decimal}"
+
+
+@pytest.mark.parametrize("digits", ["0", "1001"])
+@pytest.mark.parametrize("top_level", [True, False])
+def test_digits_out_of_range_exits_3(capsys, digits, top_level):
+    flag = ["--digits", digits]
+    argv = flag + ["limits", "cf", "--m", "3"] if top_level else ["limits", "cf", "--m", "3"] + flag
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and not out and "--digits" in err
 
 
 def test_bad_rational_exits_3(capsys):
@@ -294,6 +332,26 @@ def test_golden_output(argv):
     code, out = _golden_run(argv)
     assert out == expected["stdout"]
     assert code == expected["exit_code"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "limits rho --r 1 --s 1 --digits 10 --format json",
+        "riccati solve --p 1 --q 1 --branch plus --x0=-2 --n 5 --format csv",
+        "limits certificate --f0 one --fk 1 --eps 1/10 --format json",
+    ],
+)
+def test_module_entry_point_in_a_process(command):
+    """`python -m aurea.cli` gives golden stdout, and exit codes 0, 2 and 3 reach the process status."""
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[command]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aurea.cli", *command.split()], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == expected["stdout"]
+    assert proc.returncode == expected["exit_code"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-golden"]:

@@ -188,6 +188,39 @@ def test_decimal_rendering():
     assert decimal_str(QuadraticSurd(2, 0, 7), 4) == "2.0000"
 
 
+def test_decimal_rounds_a_surd_just_past_a_half_unit():
+    # v exceeds 5e-13 by less than 1e-60, so it rounds up at 12 digits; two
+    # truncated square-root approximations both sit below the half-unit
+    t = Fraction(math.isqrt(2 * 10**120), 10**60)
+    v = QuadraticSurd(Fraction(5, 10**13) - t, 1, 2)
+    assert (v - Fraction(5, 10**13)).sign() == 1
+    assert decimal_str(v, 12) == "0.000000000001"
+    assert decimal_str(-v, 12) == "-0.000000000001"
+
+
+def test_decimal_matches_sympy_floor():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20160)
+    for _ in range(300):
+        digits = rng.randint(0, 60)
+        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        d = rng.choice([2, 3, 5, 7, 10, 11, 13, 1009, 99991])
+        if rng.random() < 0.3:  # put the value within 1e-40 of a rounding boundary
+            half = Fraction(2 * rng.randint(-10**6, 10**6) + 1, 2 * 10**digits)
+            b = Fraction(rng.choice([-1, 1]), 10**rng.randint(20, 40))
+            a = half - b * Fraction(math.isqrt(d * 10**100), 10**50)
+        value = QuadraticSurd(a, b, d)
+        exact = sympy.Rational(str(value.a)) + sympy.Rational(str(value.b)) * sympy.sqrt(value.d)
+        # floor of a 300-digit evaluation: sympy.floor on the exact sum settles
+        # for too few digits within 1e-80 of an integer
+        units = int(sympy.floor(sympy.N(abs(exact) * 10**digits + sympy.Rational(1, 2), 300)))
+        whole, frac = divmod(units, 10**digits)
+        sign = "-" if value.sign() < 0 and units else ""
+        expected = f"{sign}{whole}" + (f".{frac:0{digits}d}" if digits else "")
+        assert decimal_str(value, digits) == expected, (a, b, d, digits)
+
+
 def test_serialisation_record():
     rec = GOLDEN_RATIO.to_record()
     assert rec == {"a": "1/2", "b": "1/2", "d": 5}
