@@ -156,19 +156,15 @@ def verify_convergence(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     kind = seed.kind
-    rho = dominant_root(kind.r, kind.s)
-    target = rho if kind.parity == STANDARD else -rho
+    target = kind.sign * dominant_root(kind.r, kind.s)
     A, B = kind.plus_form()
     reports = []
     for offset, (f0, f1) in zip(seed.offsets, seed.seed_pairs):
         if f0 == 0 and f1 == 0:
             raise DomainError(f"degenerate all-zero lattice at offset {offset}")
         cert = None
-        if kind.parity == STANDARD and kind.r == 1 and kind.s == 1:
-            if f0 >= 0 and f1 > 0:
-                cert = certificate(f0, f1, epsilon)
-            elif f0 <= 0 and f1 < 0:
-                cert = certificate(-f0, -f1, epsilon)
+        if kind.parity == STANDARD and kind.r == 1 and kind.s == 1 and f1 != 0 and f0 * f1 >= 0:
+            cert = certificate(abs(f0), abs(f1), epsilon)  # -f has the same ratios as f
         # f(ξ + (n+1)k) / f(ξ + nk) = w(n+1) / (D*w(n)) on the cleared stream
         P, Q, x, y, _, D = clear(A, B, f0, f1)
         first_step = None

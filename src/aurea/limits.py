@@ -7,11 +7,15 @@ p = r/s and q = 1/s.  Increasing-index ratios f(n+1)/f(n) approach the
 dominant root of x**2 = ±r*x + s; decreasing-index ratios approach the
 conjugate root (1 - φ in the Fibonacci case), not the sign-flipped dominant
 root that is sometimes quoted, so backward estimates carry both values.
+
+The odd form is the standard form with alternating signs, f(n) = (-1)**n*h(n)
+with h standard, so its ratios and their limits are the standard ones negated;
+`RatioParams.sign` applies that at the boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log, log1p
 from typing import Sequence
@@ -55,6 +59,7 @@ class RatioParams:
     r: Fraction
     s: Fraction
     parity: str = STANDARD
+    sign: int = field(init=False, repr=False, compare=False)  # +1 standard, -1 odd: f(n+2) = sign*r*f(n+1) + s*f(n)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", as_rational(self.r))
@@ -63,14 +68,14 @@ class RatioParams:
             raise DomainError(f"r and s must be positive, got r={self.r}, s={self.s}")
         if self.parity not in (STANDARD, ODD):
             raise DomainError(f"parity must be {STANDARD!r} or {ODD!r}, got {self.parity!r}")
+        object.__setattr__(self, "sign", 1 if self.parity == STANDARD else -1)
 
     def riccati(self) -> RiccatiParams:
         """The induced ratio map as a Riccati instance (p = r/s, q = 1/s)."""
-        branch = PLUS if self.parity == STANDARD else MINUS
-        return RiccatiParams(self.r / self.s, 1 / self.s, branch)
+        return RiccatiParams(self.r / self.s, 1 / self.s, PLUS if self.sign > 0 else MINUS)
 
     def middle_coefficient(self) -> Fraction:
-        return self.r if self.parity == STANDARD else -self.r
+        return self.sign * self.r
 
     def plus_form(self) -> tuple[Fraction, Fraction]:
         """(A, B) = (±r, s) of the "+" form u(k+2) = A*u(k+1) + B*u(k)."""
@@ -204,15 +209,11 @@ def limit_estimate(
     if a == 0:
         raise DomainError(f"ratio undefined: the term at the final index vanished after {n} steps")
     ratio = b / a
-    rho = dominant_root(params.r, params.s)
-    conjugate = quadratic_roots(params.r, params.s)[1]
+    rho, conjugate = quadratic_roots(params.r, params.s)
+    sign = params.sign  # odd-form ratios are the standard ones negated
     if direction == FORWARD:
-        target = rho if params.parity == STANDARD else -rho
-        claimed = None
-    else:
-        target = conjugate if params.parity == STANDARD else -conjugate
-        claimed = -rho if params.parity == STANDARD else rho
-    return LimitEstimate(params, direction, n, ratio, target, claimed)
+        return LimitEstimate(params, direction, n, ratio, sign * rho)
+    return LimitEstimate(params, direction, n, ratio, sign * conjugate, -sign * rho)
 
 
 def cf_convergent(m: int) -> Fraction:

@@ -4,11 +4,15 @@ The substitution x(n) = t(n)/t(n+1) turns the map into the linear recurrence
 t(n+1) = (p/q)*t(n) + (1/q)*t(n-1), which is what makes an exact closed form
 in terms of fundamental Lucas numbers possible.  `substitution_check` replays
 that derivation step by step as a verifiable identity.
+
+The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
+q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary, and
+the paper's minus-branch closed form in u(-k) is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import DomainError, QuadraticSurd, as_rational, quadratic_roots
@@ -41,6 +45,8 @@ class RiccatiParams:
     p: Fraction
     q: Fraction
     branch: str = PLUS
+    sign: int = field(init=False, repr=False, compare=False)  # +1 plus, -1 minus: x -> q/(x + sign*p)
+    _shift: Fraction = field(init=False, repr=False, compare=False)  # sign*p, computed once: every map step adds it
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_rational(self.p))
@@ -49,6 +55,8 @@ class RiccatiParams:
             raise DomainError(f"p and q must be positive, got p={self.p}, q={self.q}")
         if self.branch not in (PLUS, MINUS):
             raise DomainError(f"branch must be {PLUS!r} or {MINUS!r}, got {self.branch!r}")
+        object.__setattr__(self, "sign", 1 if self.branch == PLUS else -1)
+        object.__setattr__(self, "_shift", self.sign * self.p)
 
     def plus_form(self) -> tuple[Fraction, Fraction]:
         """(A, B) = (p, q) of the "+" form u(k+2) = A*u(k+1) + B*u(k) behind the closed forms."""
@@ -56,10 +64,10 @@ class RiccatiParams:
 
     def pole(self) -> Fraction:
         """The unique input with a vanishing denominator (also the depth-1 forbidden value)."""
-        return -self.p if self.branch == PLUS else self.p
+        return -self._shift
 
     def denominator_at(self, x):
-        return self.p + x if self.branch == PLUS else x - self.p
+        return x + self._shift
 
     def apply(self, x):
         """One map step; works for rationals and quadratic surds alike."""
@@ -131,32 +139,24 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
 def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: int) -> list[Fraction]:
     """Orbit values x0 .. xn straight from the fundamental-Lucas closed form.
 
-    With u the "+" form sequence for (A, B) = (p, q):
+    With u the "+" form sequence for (A, B) = (p, q), the plus branch gives
 
-        plus branch:   x(k) = q*(u(k) + u(k-1)*x0) / (u(k+1) + u(k)*x0)
-        minus branch:  x(k) = (q*u(-k) + u(-(k-1))*x0) / (q*u(-(k+1)) + u(-k)*x0)
+        x(k) = q*(u(k) + u(k-1)*x0) / (u(k+1) + u(k)*x0)
 
-    Negative indices come from backward recursion, never from a sign-symmetry
-    shortcut.  A vanishing denominator means x0 is forbidden at that depth.
+    and the minus branch is the same formula run on -x0 with every value
+    negated.  A vanishing denominator means x0 is forbidden at that depth.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
+    y0, q = params.sign * x0, params.sign * params.q  # conjugate in, conjugate out
+    u = lucas_window(*params.plus_form(), -1, n + 1)  # u[j] = u(j - 1)
     values: list[Fraction] = []
-    if params.branch == PLUS:
-        u = lucas_window(*params.plus_form(), -1, n + 1)  # u[j] = u(j - 1)
-        for k in range(n + 1):
-            den = u[k + 2] + u[k + 1] * x0
-            if den == 0:
-                raise DomainError(f"initial value {x0} is forbidden at depth {k}")
-            values.append(params.q * (u[k + 1] + u[k] * x0) / den)
-    else:
-        u = lucas_window(*params.plus_form(), -(n + 1), 1)[::-1]  # u[j] = u(1 - j)
-        for k in range(n + 1):
-            den = params.q * u[k + 2] + u[k + 1] * x0
-            if den == 0:
-                raise DomainError(f"initial value {x0} is forbidden at depth {k}")
-            values.append((params.q * u[k + 1] + u[k] * x0) / den)
+    for k in range(n + 1):
+        den = u[k + 2] + u[k + 1] * y0
+        if den == 0:
+            raise DomainError(f"initial value {x0} is forbidden at depth {k}")
+        values.append(q * (u[k + 1] + u[k] * y0) / den)
     return values
 
 
@@ -168,29 +168,25 @@ def closed_form_term(params: RiccatiParams, x0: Fraction | int | str, n: int) ->
 def fixed_points(params: RiccatiParams) -> tuple[QuadraticSurd, QuadraticSurd]:
     """Both exact fixed points, larger first; rational-valued when the discriminant is a square.
 
-    Plus branch solves x**2 + p*x - q = 0, minus branch x**2 - p*x - q = 0.
+    They solve x**2 + sign*p*x - q = 0, so the minus branch's pair (-b, -a)
+    negates the plus branch's (a, b).
     """
-    if params.branch == PLUS:
-        return quadratic_roots(-params.p, params.q)
-    return quadratic_roots(params.p, params.q)
+    return quadratic_roots(-params.sign * params.p, params.q)
 
 
 def forbidden_set(params: RiccatiParams, depth: int) -> list[Fraction]:
     """Backward orbit of the pole: the initial values whose trajectory dies within `depth` steps.
 
     element(1) is the pole itself; element(m+1) = q/element(m) + pole is its
-    unique preimage.  On the plus branch element(m) = -u(m+1)/u(m) exactly.
+    unique preimage.  On the plus branch element(m) = -u(m+1)/u(m) exactly,
+    on the minus branch +u(m+1)/u(m).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     pole = params.pole()
     elements = [pole]
-    while len(elements) < depth:
-        prev = elements[-1]
-        if prev == 0:
-            # unreachable for p, q > 0 (the backward orbit keeps the pole's sign)
-            raise DomainError("backward orbit hit zero; preimage undefined")
-        elements.append(params.q / prev + pole)
+    while len(elements) < depth:  # every element has the pole's sign, so none is 0
+        elements.append(params.q / elements[-1] + pole)
     return elements
 
 

@@ -3,6 +3,9 @@
 Each parameter convention gets its own reference stepper here, written out
 in that convention's own signs, so a sign slip where a parameter type is
 converted to (A, B) fails against the reference instead of cancelling out.
+The last two properties check the conjugacies that let the library carry one
+branch and one parity: the minus branch is the plus branch under x -> -x, and
+the odd form is the standard form with alternating signs.
 """
 
 from fractions import Fraction
@@ -22,7 +25,17 @@ from aurea.horadam import (  # noqa: E402
     lucas_window,
     window,
 )
-from aurea.limits import BACKWARD, FORWARD, ODD, STANDARD, RatioParams, limit_estimate  # noqa: E402
+from aurea.limits import BACKWARD, FORWARD, ODD, STANDARD, RatioParams, limit_estimate, ratio_orbit  # noqa: E402
+from aurea.riccati import (  # noqa: E402
+    MINUS,
+    PLUS,
+    RiccatiParams,
+    classify_initial,
+    closed_form_trajectory,
+    fixed_points,
+    forbidden_set,
+    iterate_orbit,
+)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 nonzero = rationals.filter(lambda x: x != 0)
@@ -135,3 +148,67 @@ def test_limit_estimate_matches_the_ratio_stepper_both_ways(f0, f1, r, s, parity
         else:
             estimate = limit_estimate(params, (f0, f1), direction, n)
             assert estimate.ratio == reference[last + 1] / reference[last]
+
+
+def _closed_form_or_refusal(params, x0, n):
+    """closed_form_trajectory's values and None, or None and the text of its refusal."""
+    try:
+        return closed_form_trajectory(params, x0, n), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+@PROPERTY
+@given(
+    p=positive,
+    q=positive,
+    x0=rationals,
+    forbidden=st.integers(0, 10),
+    n=st.integers(0, 40),
+    depth=st.integers(1, 12),
+)
+def test_minus_branch_is_the_plus_branch_under_negation(p, q, x0, forbidden, n, depth):
+    minus, plus = RiccatiParams(p, q, MINUS), RiccatiParams(p, q, PLUS)
+    if forbidden:
+        x0 = forbidden_set(minus, forbidden)[-1]
+    orbit, mirror = iterate_orbit(minus, x0, n), iterate_orbit(plus, -x0, n)
+    assert orbit.trajectory == tuple(-x for x in mirror.trajectory)
+    assert orbit.pole_step == mirror.pole_step
+    assert orbit.classification == mirror.classification
+    values, refusal = _closed_form_or_refusal(minus, x0, n)
+    mirror_values, mirror_refusal = _closed_form_or_refusal(plus, -x0, n)
+    if mirror_refusal is None:
+        assert refusal is None and values == [-x for x in mirror_values] == list(orbit.trajectory)
+    else:  # the same depth, named with the caller's x0
+        assert refusal == mirror_refusal.replace(f"initial value {-x0} ", f"initial value {x0} ")
+    assert forbidden_set(minus, depth) == [-x for x in forbidden_set(plus, depth)]
+    assert minus.pole() == -plus.pole()
+    a, b = fixed_points(plus)
+    assert fixed_points(minus) == (-b, -a)
+    assert classify_initial(minus, x0, depth) == classify_initial(plus, -x0, depth)
+
+
+@PROPERTY
+@given(
+    f0=rationals,
+    f1=rationals,
+    r=positive,
+    s=positive,
+    direction=st.sampled_from([FORWARD, BACKWARD]),
+    n=st.integers(0, 60),
+)
+def test_odd_form_is_the_standard_form_with_alternating_signs(f0, f1, r, s, direction, n):
+    odd, standard = RatioParams(r, s, ODD), RatioParams(r, s, STANDARD)
+    try:
+        mirror = limit_estimate(standard, (f0, -f1), direction, n)
+    except DomainError:
+        with pytest.raises(DomainError):
+            limit_estimate(odd, (f0, f1), direction, n)
+    else:
+        estimate = limit_estimate(odd, (f0, f1), direction, n)
+        assert estimate.ratio == -mirror.ratio
+        assert estimate.target == -mirror.target
+        assert estimate.claimed == (None if mirror.claimed is None else -mirror.claimed)
+    orbit, mirror_orbit = ratio_orbit(odd, f0, n), ratio_orbit(standard, -f0, n)
+    assert orbit.trajectory == tuple(-g for g in mirror_orbit.trajectory)
+    assert orbit.pole_step == mirror_orbit.pole_step

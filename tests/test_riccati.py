@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,58 @@ def test_closed_form_equals_orbit_randomised():
 def test_closed_form_rejects_forbidden_seed():
     with pytest.raises(DomainError):
         closed_form_term(GOLDEN_PLUS, -2, 5)
+
+
+def paper_minus_closed_form(p, q, x0, n):
+    """The paper's minus-branch closed form, kept here as an oracle for the library's
+    conjugated plus branch:
+
+        x(k) = (q*u(-k) + u(-(k-1))*x0) / (q*u(-(k+1)) + u(-k)*x0)
+
+    with u the "+" form sequence u(k+2) = p*u(k+1) + q*u(k), u(0) = 0, u(1) = 1,
+    taken to negative index by backward recursion, never by a sign-symmetry
+    shortcut.  Returns x(0) .. x(n), or the values before the first vanishing
+    denominator together with its depth k.
+    """
+    u = [Fraction(1), Fraction(0)]  # u[j] = u(1 - j)
+    while len(u) < n + 3:
+        u.append((u[-2] - p * u[-1]) / q)
+    values = []
+    for k in range(n + 1):
+        den = q * u[k + 2] + u[k + 1] * x0
+        if den == 0:
+            return values, k
+        values.append((q * u[k + 1] + u[k] * x0) / den)
+    return values, None
+
+
+def test_minus_branch_matches_the_papers_closed_form():
+    rng = random.Random(73)
+    refused = 0
+    for trial in range(60):
+        params = _random_params(rng)
+        params = RiccatiParams(params.p, params.q, "minus")
+        if trial % 3 == 0:
+            x0 = forbidden_set(params, rng.randint(1, 12))[-1]
+        else:
+            den = rng.randint(1, 3)
+            x0 = Fraction(rng.randint(-10 * den, 10 * den), den)
+        n = rng.randint(0, 40)
+        values, depth = paper_minus_closed_form(params.p, params.q, x0, n)
+        if depth is None:
+            assert closed_form_trajectory(params, x0, n) == values
+        else:
+            refused += 1
+            with pytest.raises(DomainError, match=f"^initial value {re.escape(str(x0))} is forbidden at depth {depth}$"):
+                closed_form_trajectory(params, x0, n)
+    assert refused >= 10
+
+
+def test_minus_branch_refusal_names_the_callers_seed():
+    x0 = forbidden_set(GOLDEN_MINUS, 3)[2]
+    assert x0 == Fraction(3, 2)
+    with pytest.raises(DomainError, match=r"^initial value 3/2 is forbidden at depth 3$"):
+        closed_form_trajectory(GOLDEN_MINUS, x0, 10)
 
 
 def test_fixed_points_examples():
