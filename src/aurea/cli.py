@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .exact import DomainError, QuadraticSurd, decimal_str, format_rational, parse_rational
 from .fibfunc import extend, load_seed, ratio_trace, verify_convergence
-from .horadam import RecurrenceParams, fast_term, window
+from .horadam import RecurrenceParams, window
 from .limits import (
     RatioParams,
     certificate,
@@ -126,14 +126,10 @@ def _cmd_horadam(args) -> list[dict]:
         parse_rational(args.w0), parse_rational(args.w1), parse_rational(args.p), parse_rational(args.q)
     )
     start, count = _parse_index_range(args.n)
-    if args.fast:
-        values = [fast_term(params, k) for k in range(start, start + count)]
-    else:
-        values = window(params, start, count).values
     return [
         {
             "params": {"w0": params.w0, "w1": params.w1, "p": params.p, "q": params.q, "n": args.n, "fast": args.fast},
-            "result": {"start": start, "terms": values},
+            "result": {"start": start, "terms": window(params, start, count).values},
         }
     ]
 
@@ -309,12 +305,7 @@ def _cmd_fibfunc_extend(args) -> list[dict]:
 
 def _cmd_fibfunc_trace(args) -> list[dict]:
     seed = load_seed(args.seed_file)
-    if args.offset_index is None:
-        indices = range(len(seed.offsets))
-    elif 0 <= args.offset_index < len(seed.offsets):
-        indices = [args.offset_index]
-    else:
-        raise ValueError(f"offset index {args.offset_index} out of range (seed has {len(seed.offsets)} offsets)")
+    indices = range(len(seed.offsets)) if args.offset_index is None else [args.offset_index]
     traces = (ratio_trace(seed, index, args.nmin, args.nmax) for index in indices)
     return [
         {
@@ -386,7 +377,7 @@ def build_parser() -> _Parser:
 
     leaf = _leaf(sub, "horadam", _cmd_horadam, "terms of w(n+2) = p*w(n+1) - q*w(n)", w0=str, w1=str, p=str, q=str)
     leaf.add_argument("--n", required=True, help="index or inclusive range like 0..7")
-    leaf.add_argument("--fast", action="store_true", help="use companion-matrix powering")
+    leaf.add_argument("--fast", action="store_true", help="accepted for compatibility and echoed; no effect")
 
     rsub = sub.add_parser("riccati", help="orbits and structure of x -> q/(±p + x)").add_subparsers(
         dest="subcommand", required=True

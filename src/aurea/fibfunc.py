@@ -101,8 +101,11 @@ def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: in
     """Ratios g(n) = f(ξ + n*k) / f(ξ + (n+1)*k) over [n_min, n_max] for one offset.
 
     The ratio list stops at the first vanishing denominator; that index is
-    reported.  An identically zero lattice is degenerate.
+    reported.  An identically zero lattice is degenerate.  The index counts
+    from 0; a negative one is refused, not read from the end.
     """
+    if not 0 <= offset_index < len(seed.offsets):
+        raise ValueError(f"offset index {offset_index} out of range (seed has {len(seed.offsets)} offsets)")
     if n_min > n_max:
         raise ValueError("empty range")
     offset = seed.offsets[offset_index]

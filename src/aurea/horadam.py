@@ -4,9 +4,9 @@ Every stepping question in the library is a run of
 
     u(k+2) = A*u(k+1) + B*u(k),    B != 0,
 
-walked by `walk` (to one index), `terms` (a contiguous window) and
-`fast_term` (matrix powers).  Each parameter type lowers to (A, B) in
-exactly one place, its `plus_form` method:
+walked by `terms` (a contiguous window) and `walk` (the pair at one index);
+`fast_term` is `horadam_term` under its older name.  Each parameter type
+lowers to (A, B) in exactly one place, its `plus_form` method:
 
     RecurrenceParams  w(n+2) = p*w(n+1) - q*w(n)               ->  (p, -q)
     RatioParams       f(n+2) = ±r*f(n+1) + s*f(n)              ->  (±r, s)
@@ -23,10 +23,12 @@ E = lcm(den u(0), den u(1)); then u(k) = w(k) / (E*D**k), where
     w(k+2) = (A*D)*w(k+1) + (B*D**2)*w(k),    w(0) = E*u(0),  w(1) = E*D*u(1),
 
 is an integer recurrence, so each returned term costs one division at the
-end instead of a gcd-reduced Fraction at every step.  A negative index is
-the forward run of the reversed recurrence v(j) = u(-j), with coefficients
-(-A/B, 1/B) and seeds (u(0), u(-1)), so one integer loop serves both
-directions.
+end instead of a gcd-reduced Fraction at every step.  `terms` reaches its
+start by powering the companion matrix [[A*D, B*D**2], [1, 0]], O(log|lo|)
+products, and steps one term at a time only through the window.  A negative
+index is the forward run of the reversed recurrence v(j) = u(-j), with
+coefficients (-A/B, 1/B) and seeds (u(0), u(-1)), so one integer path
+serves both directions.
 """
 
 from __future__ import annotations
@@ -104,11 +106,33 @@ def _reversed(A, B, a, b) -> tuple:
     return Fraction(-A, B), Fraction(1, B), a, Fraction(b - A * a, B)
 
 
+def _mat_mul(x: tuple, y: tuple) -> tuple:
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
 def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) for 0 <= lo <= hi, one reduced Fraction per term."""
-    P, Q, x, y, E, D = clear(A, B, a, b)
-    for _ in range(lo):
-        x, y = y, P * y + Q * x
+    """u(lo) .. u(hi) for 0 <= lo <= hi, one reduced Fraction per term.
+
+    The start is reached by powering the integer companion matrix
+    [[P, Q], [1, 0]] of the cleared recurrence, O(log lo) products; the
+    window is stepped from there.
+    """
+    P, Q, w0, w1, E, D = clear(A, B, a, b)
+    k = lo
+    base = (P, Q, 1, 0)
+    result = (1, 0, 0, 1)
+    while k:
+        if k & 1:
+            result = _mat_mul(result, base)
+        base = _mat_mul(base, base)
+        k >>= 1
+    # [w(lo+1), w(lo)]^T = M^lo [w(1), w(0)]^T
+    x, y = result[2] * w1 + result[3] * w0, result[0] * w1 + result[1] * w0
     den = E * D**lo
     values = [Fraction(x, den)]
     for _ in range(hi - lo):
@@ -141,7 +165,10 @@ def walk(A, B, a, b, n: int) -> tuple[Fraction, Fraction]:
 
 def horadam_term(params: RecurrenceParams, n: int) -> Fraction:
     """Exact n-th term; negative indices use the inverted recurrence w(n) = (p*w(n+1) - w(n+2))/q."""
-    return walk(*params.plus_form(), params.w0, params.w1, n)[0]
+    return terms(*params.plus_form(), params.w0, params.w1, n, n)[0]
+
+
+fast_term = horadam_term  # the older name; horadam_term already reaches n in O(log|n|) products
 
 
 def window(params: RecurrenceParams, start: int, length: int) -> SequenceWindow:
@@ -165,40 +192,6 @@ def lucas_window(A: Fraction | int | str, B: Fraction | int | str, lo: int, hi: 
     if B == 0:
         raise DomainError("B = 0 gives a degenerate recurrence")
     return terms(A, B, Fraction(0), Fraction(1), lo, hi)
-
-
-def _mat_mul(x: tuple, y: tuple) -> tuple:
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def fast_term(params: RecurrenceParams, n: int) -> Fraction:
-    """Same value as horadam_term in O(log|n|) big-number steps via companion-matrix powering.
-
-    The integer companion matrix [[P, Q], [1, 0]] of the cleared recurrence
-    is powered, the reversed one's for n < 0, and divided out once.
-    """
-    if n == 0:
-        return params.w0
-    A, B, a, b = *params.plus_form(), params.w0, params.w1
-    if n < 0:
-        A, B, a, b = _reversed(A, B, a, b)
-    P, Q, w0, w1, E, D = clear(A, B, a, b)
-    k = abs(n)
-    den = E * D**k
-    base = (P, Q, 1, 0)
-    result = (1, 0, 0, 1)
-    while k:
-        if k & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        k >>= 1
-    # [w(|n|+1), w(|n|)]^T = M^|n| [w(1), w(0)]^T
-    return Fraction(result[2] * w1 + result[3] * w0, den)
 
 
 def negative_symmetry_check(params: RecurrenceParams, n_max: int) -> tuple[int, ...]:

@@ -67,6 +67,16 @@ def test_horadam_range_and_fast(capsys):
     assert fast[0]["result"]["terms"] == slow[0]["result"]["terms"]
     single = run_json(capsys, ["horadam", "--w0", "0", "--w1", "1", "--p", "1", "--q=-1", "--n=-4"])
     assert single[0]["result"] == {"start": -4, "terms": ["-3/1"]}
+    # --fast is only echoed: the whole record is the same with and without it
+    for argv in (
+        ["--w0", "0", "--w1", "1", "--p", "1", "--q=-1", "--n", "0..7"],
+        ["--w0", "1/2", "--w1=-3/4", "--p", "2/3", "--q", "5/7", "--n=-6..4"],
+        ["--w0", "0", "--w1", "1", "--p", "1", "--q=-1", "--n", "5000"],
+    ):
+        (plain,) = run_json(capsys, ["horadam", *argv])
+        (fast,) = run_json(capsys, ["horadam", *argv, "--fast"])
+        assert (plain["params"].pop("fast"), fast["params"].pop("fast")) == (False, True)
+        assert fast == plain
 
 
 def test_orbit_reports_pole_with_exit_zero(capsys):
@@ -229,6 +239,13 @@ def test_fibfunc_trace_single_offset(capsys, seed_file):
     records = run_json(capsys, ["fibfunc", "trace", "--seed-file", seed_file, "--nmax", "3", "--offset-index", "0"])
     assert len(records) == 1
     assert records[0]["result"]["ratios"] == ["1/1", "1/2", "2/3", "3/5"]
+
+
+@pytest.mark.parametrize("flag, index", [(["--offset-index=-1"], -1), (["--offset-index", "5"], 5)])
+def test_fibfunc_trace_offset_index_out_of_range_exits_3(capsys, seed_file, flag, index):
+    code, out, err = run_cli(capsys, ["fibfunc", "trace", "--seed-file", seed_file, *flag])
+    assert (code, out) == (3, "")
+    assert err == f"error: offset index {index} out of range (seed has 3 offsets)\n"
 
 
 def test_fibfunc_verify_reports(capsys, seed_file):

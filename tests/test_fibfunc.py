@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,14 @@ def test_ratio_trace_examples():
     assert list(trace.ratios) == [0, 1, Fraction(1, 2)]
     with pytest.raises(DomainError):
         ratio_trace(_seed(STD, [(0, 0)]), 0, 0, 2)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_ratio_trace_refuses_an_offset_index_out_of_range(index):
+    seed = _seed(STD, [(0, 1), (1, 2), (2, 1)])
+    message = f"offset index {index} out of range (seed has 3 offsets)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ratio_trace(seed, index, 0, 3)
 
 
 def test_ratio_trace_reports_undefined_index():

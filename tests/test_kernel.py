@@ -1,7 +1,8 @@
 """Differential tests for the integer recurrence kernel in `aurea.horadam`.
 
-`walk`, `terms` and `fast_term` clear denominators once and step ints; here
-they are checked against a plain-Fraction stepper that does neither, on seeds
+`walk`, `terms` and `fast_term` clear denominators once, power the integer
+companion matrix to a window's start and step ints from there; here they are
+checked against a plain-Fraction stepper that does none of this, on seeds
 whose denominators differ from each other and from the coefficients'.
 """
 
@@ -66,6 +67,28 @@ def test_fast_term_matches_the_fraction_stepper(w0, w1, p, q, n):
 def test_fast_term_equals_horadam_term_far_out(w0, w1, p, q, n):
     params = RecurrenceParams(w0, w1, p, q)
     assert fast_term(params, n) == horadam_term(params, n)
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+EDGE_CASE = dict(A=Fraction(3, 2), B=Fraction(-1, 3), a=Fraction(1, 2), b=Fraction(2, 3), width=3)
+
+
+def _at_binary_edges(test):
+    """One explicit example per start 2**k - 1 and 2**k, where the power loop's bit pattern turns over."""
+    for start in (1, 2, 3, 4, 7, 8, 255, 256, 1023, 1024, 2047, 2048):
+        test = example(**EDGE_CASE, start=start)(test)
+    return test
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=small, B=small.filter(lambda x: x != 0), a=small, b=small, start=st.integers(1, 3000), width=st.integers(0, 8))
+@_at_binary_edges
+def test_powered_start_equals_the_stepped_slice(A, B, a, b, start, width):
+    """A window away from 0 reaches its start by matrix powers; the window from 0 steps every term."""
+    lo, hi = start, start + width
+    assert terms(A, B, a, b, lo, hi) == terms(A, B, a, b, 0, hi)[lo:]
+    lo, hi = -start - width, -start
+    assert terms(A, B, a, b, lo, hi) == terms(A, B, a, b, lo, 0)[: hi - lo + 1]
 
 
 @pytest.mark.parametrize(
