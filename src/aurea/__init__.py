@@ -1,124 +1,13 @@
 """Exact-arithmetic toolkit for Riccati-type difference equations, Horadam
 sequences, forbidden-set structure and golden-ratio convergence."""
 
-from .exact import (
-    GOLDEN_RATIO,
-    DomainError,
-    QuadraticSurd,
-    abs_le,
-    abs_lt,
-    decimal_str,
-    format_rational,
-    parse_rational,
-    quadratic_roots,
-    sqrt_decomposition,
-    surd_sign,
-)
-from .fibfunc import (
-    LatticeTrace,
-    OffsetReport,
-    PeriodicSeed,
-    dump_seed,
-    extend,
-    golden_power_trace,
-    load_seed,
-    parse_seed,
-    ratio_trace,
-    verify_convergence,
-)
-from .horadam import (
-    FIBONACCI,
-    RecurrenceParams,
-    SequenceWindow,
-    fast_term,
-    fundamental_lucas,
-    horadam_term,
-    lucas_window,
-    negative_symmetry_check,
-    window,
-)
-from .limits import (
-    ConvergenceCertificate,
-    LimitEstimate,
-    NestingReport,
-    RatioParams,
-    certificate,
-    cf_convergent,
-    closed_form_ratio,
-    difference_identity_check,
-    dominant_root,
-    limit_estimate,
-    nesting_check,
-    ratio_orbit,
-)
-from .riccati import (
-    Classification,
-    OrbitReport,
-    RiccatiParams,
-    SubstitutionReport,
-    classify_initial,
-    closed_form_term,
-    closed_form_trajectory,
-    fixed_points,
-    forbidden_set,
-    iterate_orbit,
-    substitution_check,
-)
+from . import exact, fibfunc, horadam, limits, riccati
+from .exact import *  # noqa: F401,F403
+from .fibfunc import *  # noqa: F401,F403
+from .horadam import *  # noqa: F401,F403
+from .limits import *  # noqa: F401,F403
+from .riccati import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GOLDEN_RATIO",
-    "FIBONACCI",
-    "Classification",
-    "ConvergenceCertificate",
-    "DomainError",
-    "LatticeTrace",
-    "LimitEstimate",
-    "NestingReport",
-    "OffsetReport",
-    "OrbitReport",
-    "PeriodicSeed",
-    "QuadraticSurd",
-    "RatioParams",
-    "RecurrenceParams",
-    "RiccatiParams",
-    "SequenceWindow",
-    "SubstitutionReport",
-    "abs_le",
-    "abs_lt",
-    "certificate",
-    "cf_convergent",
-    "classify_initial",
-    "closed_form_ratio",
-    "closed_form_term",
-    "closed_form_trajectory",
-    "decimal_str",
-    "difference_identity_check",
-    "dominant_root",
-    "dump_seed",
-    "extend",
-    "fast_term",
-    "fixed_points",
-    "forbidden_set",
-    "format_rational",
-    "fundamental_lucas",
-    "golden_power_trace",
-    "horadam_term",
-    "iterate_orbit",
-    "limit_estimate",
-    "load_seed",
-    "lucas_window",
-    "negative_symmetry_check",
-    "nesting_check",
-    "parse_rational",
-    "parse_seed",
-    "quadratic_roots",
-    "ratio_orbit",
-    "ratio_trace",
-    "sqrt_decomposition",
-    "substitution_check",
-    "surd_sign",
-    "verify_convergence",
-    "window",
-]
+__all__ = [name for module in (exact, fibfunc, horadam, limits, riccati) for name in module.__all__]

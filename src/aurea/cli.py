@@ -24,6 +24,10 @@ from .exact import DomainError, QuadraticSurd, decimal_str, format_rational, par
 from .fibfunc import extend, load_seed, ratio_trace, verify_convergence
 from .horadam import RecurrenceParams, window
 from .limits import (
+    BACKWARD,
+    FORWARD,
+    ODD,
+    STANDARD,
     RatioParams,
     certificate,
     cf_convergent,
@@ -31,6 +35,8 @@ from .limits import (
     limit_estimate,
 )
 from .riccati import (
+    MINUS,
+    PLUS,
     RiccatiParams,
     classify_initial,
     closed_form_trajectory,
@@ -41,7 +47,7 @@ from .riccati import (
 
 __all__ = ["main", "run"]
 
-_BRANCHES = ["plus", "minus"]
+_BRANCHES = [PLUS, MINUS]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,17 +204,16 @@ def _cmd_riccati_classify(args) -> list[dict]:
 
 
 def _cmd_riccati_subst_check(args) -> list[dict]:
-    params = RiccatiParams(parse_rational(args.p), parse_rational(args.q), "plus")
+    params = RiccatiParams(parse_rational(args.p), parse_rational(args.q), PLUS)
     t0, t1 = parse_rational(args.t0), parse_rational(args.t1)
     report = substitution_check(params, t0, t1, args.n)
-    status = "completed" if report.pole_step is None else f"pole_at_step({report.pole_step})"
     return [
         {
             "params": {"p": params.p, "q": params.q, "t0": t0, "t1": t1, "n": args.n},
             "result": {
                 "t_values": report.t_values,
                 "ratios": report.ratio_values,
-                "status": status,
+                "status": report.status(),
                 "orbit_match": all(report.orbit_matches),
                 "closed_form_match": all(report.closed_form_matches),
                 "passed": report.passed,
@@ -404,7 +409,7 @@ def build_parser() -> _Parser:
     _leaf(lsub, "limits rho", _cmd_limits_rho, "positive root of x**2 = r*x + s", r=str, s=str)
     _leaf(lsub, "limits cf", _cmd_limits_cf, "convergent of the all-ones continued fraction", m=int)
     leaf = _leaf(lsub, "limits estimate", _cmd_limits_estimate, "final recurrence ratio next to its exact limit",
-                 r=str, s=str, parity=["standard", "odd"], direction=["forward", "backward"], n=int)
+                 r=str, s=str, parity=[STANDARD, ODD], direction=[FORWARD, BACKWARD], n=int)
     leaf.add_argument("--seed0", default="1")
     leaf.add_argument("--seed1", default="1")
 

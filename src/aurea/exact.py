@@ -14,7 +14,6 @@ from math import isqrt, lcm, sqrt
 
 __all__ = [
     "DomainError",
-    "Rational",
     "GOLDEN_RATIO",
     "QuadraticSurd",
     "abs_le",
@@ -27,9 +26,6 @@ __all__ = [
     "sqrt_decomposition",
     "surd_sign",
 ]
-
-Rational = Fraction
-
 
 class DomainError(Exception):
     """An operation was asked to leave its mathematical domain."""

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, abs_lt, as_rational, format_rational
-from .horadam import clear, terms
-from .limits import ConvergenceCertificate, RatioParams, STANDARD, certificate, dominant_root
+from .horadam import ratios, terms
+from .limits import ODD, STANDARD, ConvergenceCertificate, RatioParams, certificate, dominant_root
 
 __all__ = [
     "LatticeTrace",
@@ -113,14 +113,14 @@ def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: in
     if f0 == 0 and f1 == 0:
         raise DomainError(f"degenerate all-zero lattice at offset {offset}")
     values = terms(*seed.kind.plus_form(), f0, f1, n_min, n_max + 1)
-    ratios = []
+    ratio_values = []
     undefined_at = None
     for i in range(n_max + 1 - n_min):
         if values[i + 1] == 0:
             undefined_at = n_min + i
             break
-        ratios.append(values[i] / values[i + 1])
-    return LatticeTrace(offset, n_min, tuple(values), tuple(ratios), undefined_at)
+        ratio_values.append(values[i] / values[i + 1])
+    return LatticeTrace(offset, n_min, tuple(values), tuple(ratio_values), undefined_at)
 
 
 @dataclass(frozen=True)
@@ -168,18 +168,14 @@ def verify_convergence(
         cert = None
         if kind.parity == STANDARD and kind.r == 1 and kind.s == 1 and f1 != 0 and f0 * f1 >= 0:
             cert = certificate(abs(f0), abs(f1), epsilon)  # -f has the same ratios as f
-        # f(ξ + (n+1)k) / f(ξ + nk) = w(n+1) / (D*w(n)) on the cleared stream
-        P, Q, x, y, _, D = clear(A, B, f0, f1)
         first_step = None
         achieved = None
-        for n in range(horizon + 1):
-            if x != 0:
-                ratio = Fraction(y, D * x)
+        for n, ratio in zip(range(horizon + 1), ratios(A, B, f0, f1)):
+            if ratio is not None:
                 achieved = ratio
                 if abs_lt(ratio - target, epsilon):
                     first_step = n
                     break
-            x, y = y, P * y + Q * x
         reports.append(OffsetReport(offset, target, epsilon, first_step, achieved, horizon, cert))
     return reports
 
@@ -205,7 +201,9 @@ def parse_seed(text: str) -> PeriodicSeed:
         k=<rational> kind=<standard|odd> r=<rational> s=<rational>
         <xi> <f_xi> <f_xi_plus_k>
 
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped.  Each header key
+    appears exactly once; an unknown or repeated key, or another kind, is a
+    parse error (ValueError), while r = 0 stays a domain error.
     """
     lines = [
         line.strip()
@@ -214,15 +212,22 @@ def parse_seed(text: str) -> PeriodicSeed:
     ]
     if not lines:
         raise ValueError("empty seed data")
+    keys = ("k", "kind", "r", "s")
     header: dict[str, str] = {}
     for token in lines[0].split():
         key, sep, value = token.partition("=")
         if not sep or not value:
             raise ValueError(f"malformed header token {token!r}")
+        if key not in keys:
+            raise ValueError(f"unknown header key {key!r}")
+        if key in header:
+            raise ValueError(f"repeated header key {key!r}")
         header[key] = value
-    missing = {"k", "kind", "r", "s"} - header.keys()
+    missing = set(keys) - header.keys()
     if missing:
         raise ValueError(f"header missing {sorted(missing)}")
+    if header["kind"] not in (STANDARD, ODD):  # a malformed literal (exit 3), like an unknown --parity
+        raise ValueError(f"kind must be {STANDARD!r} or {ODD!r}, got {header['kind']!r}")
     kind = RatioParams(header["r"], header["s"], header["kind"])
     offsets = []
     pairs = []

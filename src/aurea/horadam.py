@@ -4,9 +4,10 @@ Every stepping question in the library is a run of
 
     u(k+2) = A*u(k+1) + B*u(k),    B != 0,
 
-walked by `terms` (a contiguous window) and `walk` (the pair at one index);
-`fast_term` is `horadam_term` under its older name.  Each parameter type
-lowers to (A, B) in exactly one place, its `plus_form` method:
+walked by `terms` (a contiguous window), `walk` (the pair at one index) and
+`ratios` (the consecutive ratios u(k+1)/u(k) as a stream); `fast_term` is
+`horadam_term` under its older name.  Each parameter type lowers to (A, B)
+in exactly one place, its `plus_form` method:
 
     RecurrenceParams  w(n+2) = p*w(n+1) - q*w(n)               ->  (p, -q)
     RatioParams       f(n+2) = ±r*f(n+1) + s*f(n)              ->  (±r, s)
@@ -25,7 +26,8 @@ E = lcm(den u(0), den u(1)); then u(k) = w(k) / (E*D**k), where
 is an integer recurrence, so each returned term costs one division at the
 end instead of a gcd-reduced Fraction at every step.  `terms` reaches its
 start by powering the companion matrix [[A*D, B*D**2], [1, 0]], O(log|lo|)
-products, and steps one term at a time only through the window.  A negative
+products, and steps one term at a time only through the window; `ratios`
+steps the same cleared integers from index 0 without end.  A negative
 index is the forward run of the reversed recurrence v(j) = u(-j), with
 coefficients (-A/B, 1/B) and seeds (u(0), u(-1)), so one integer path
 serves both directions.
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
 from .exact import DomainError, as_rational
 
@@ -115,12 +118,11 @@ def _mat_mul(x: tuple, y: tuple) -> tuple:
     )
 
 
-def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) for 0 <= lo <= hi, one reduced Fraction per term.
+def _start(A, B, a, b, lo: int) -> tuple[int, int, int, int, int, int]:
+    """(P, Q, w(lo), w(lo+1), E*D**lo, D) of the cleared recurrence, for lo >= 0.
 
     The start is reached by powering the integer companion matrix
-    [[P, Q], [1, 0]] of the cleared recurrence, O(log lo) products; the
-    window is stepped from there.
+    [[P, Q], [1, 0]] of the cleared recurrence, O(log lo) products.
     """
     P, Q, w0, w1, E, D = clear(A, B, a, b)
     k = lo
@@ -133,13 +135,26 @@ def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
         k >>= 1
     # [w(lo+1), w(lo)]^T = M^lo [w(1), w(0)]^T
     x, y = result[2] * w1 + result[3] * w0, result[0] * w1 + result[1] * w0
-    den = E * D**lo
+    return P, Q, x, y, E * D**lo, D
+
+
+def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
+    """u(lo) .. u(hi) for 0 <= lo <= hi, one reduced Fraction per term, stepped from `_start`."""
+    P, Q, x, y, den, D = _start(A, B, a, b, lo)
     values = [Fraction(x, den)]
     for _ in range(hi - lo):
         x, y = y, P * y + Q * x
         den *= D
         values.append(Fraction(x, den))
     return values
+
+
+def ratios(A, B, a, b) -> Iterator[Fraction | None]:
+    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0; each is w(k+1)/(D*w(k)) on the cleared ints."""
+    P, Q, x, y, _, D = _start(A, B, a, b, 0)
+    while True:
+        yield Fraction(y, D * x) if x else None
+        x, y = y, P * y + Q * x
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:

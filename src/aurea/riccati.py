@@ -3,20 +3,25 @@
 The substitution x(n) = t(n)/t(n+1) turns the map into the linear recurrence
 t(n+1) = (p/q)*t(n) + (1/q)*t(n-1), which is what makes an exact closed form
 in terms of fundamental Lucas numbers possible.  `substitution_check` replays
-that derivation step by step as a verifiable identity.
+that derivation step by step as a verifiable identity.  Every closed-form
+fact about the orbit of x0 reads one sequence s(k) = u(k+1) + u(k)*sign*x0,
+u the fundamental Lucas sequence of the "+" form (p, q): the value
+x(k) = sign*q*s(k-1)/s(k), the depth k >= 1 at which x0 is forbidden (the
+first zero of s), and the forbidden set, the values -sign*u(m+1)/u(m).
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
-q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary, and
-the paper's minus-branch closed form in u(-k) is kept as a test oracle.
+q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
+The paper's closed forms for both branches are kept as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, takewhile
 
 from .exact import DomainError, QuadraticSurd, as_rational, quadratic_roots
-from .horadam import lucas_window, terms
+from .horadam import lucas_window, ratios, terms
 
 __all__ = [
     "MINUS",
@@ -136,28 +141,26 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
     return OrbitReport(tuple(trajectory), pole_step, classification)
 
 
+def _s_ratios(params: RiccatiParams, x0: Fraction, n: int) -> tuple[list[Fraction], int | None]:
+    """s(k+1)/s(k) for k < n, ending before the first zero s(k) (k >= 1); with that depth k, or None."""
+    stream = ratios(*params.plus_form(), Fraction(1), params.p + params.sign * x0)
+    found = list(takewhile(bool, islice(stream, n)))
+    return found, (len(found) + 1 if len(found) < n else None)
+
+
 def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: int) -> list[Fraction]:
-    """Orbit values x0 .. xn straight from the fundamental-Lucas closed form.
+    """Orbit values x0 .. xn from the closed form x(k) = sign*q*s(k-1)/s(k).
 
-    With u the "+" form sequence for (A, B) = (p, q), the plus branch gives
-
-        x(k) = q*(u(k) + u(k-1)*x0) / (u(k+1) + u(k)*x0)
-
-    and the minus branch is the same formula run on -x0 with every value
-    negated.  A vanishing denominator means x0 is forbidden at that depth.
+    x0 is forbidden at depth k exactly when s(k) = 0; the first such k <= n is refused.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
-    y0, q = params.sign * x0, params.sign * params.q  # conjugate in, conjugate out
-    u = lucas_window(*params.plus_form(), -1, n + 1)  # u[j] = u(j - 1)
-    values: list[Fraction] = []
-    for k in range(n + 1):
-        den = u[k + 2] + u[k + 1] * y0
-        if den == 0:
-            raise DomainError(f"initial value {x0} is forbidden at depth {k}")
-        values.append(q * (u[k + 1] + u[k] * y0) / den)
-    return values
+    s_ratios, depth = _s_ratios(params, x0, n)
+    if depth is not None:
+        raise DomainError(f"initial value {x0} is forbidden at depth {depth}")
+    q = params.sign * params.q
+    return [x0] + [q / ratio for ratio in s_ratios]
 
 
 def closed_form_term(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Fraction:
@@ -177,17 +180,13 @@ def fixed_points(params: RiccatiParams) -> tuple[QuadraticSurd, QuadraticSurd]:
 def forbidden_set(params: RiccatiParams, depth: int) -> list[Fraction]:
     """Backward orbit of the pole: the initial values whose trajectory dies within `depth` steps.
 
-    element(1) is the pole itself; element(m+1) = q/element(m) + pole is its
-    unique preimage.  On the plus branch element(m) = -u(m+1)/u(m) exactly,
-    on the minus branch +u(m+1)/u(m).
+    element(m) = -sign*u(m+1)/u(m), the x0 with s(m) = 0; element(1) is the
+    pole, and element(m+1) = q/element(m) + pole is the preimage C03 checks.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    pole = params.pole()
-    elements = [pole]
-    while len(elements) < depth:  # every element has the pole's sign, so none is 0
-        elements.append(params.q / elements[-1] + pole)
-    return elements
+    u_ratios, _ = _s_ratios(params, Fraction(0), depth)  # x0 = 0 makes s(k) = u(k+1) > 0
+    return [-params.sign * ratio for ratio in u_ratios]
 
 
 def classify_initial(
@@ -197,8 +196,8 @@ def classify_initial(
 ) -> Classification:
     """fixed_point, forbidden_depth(m) with m <= depth, or regular up to the probed depth.
 
-    Membership in the full infinite forbidden set is only semi-decided, so
-    "regular" is always relative to `depth`.
+    x0 is forbidden at depth m exactly when s(m) = 0.  Membership in the
+    forbidden set is only semi-decided, so "regular" is relative to `depth`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -211,10 +210,8 @@ def classify_initial(
     for point in points:
         if point.is_rational and point.as_fraction() == x0:
             return FIXED_POINT
-    for m, element in enumerate(forbidden_set(params, depth), start=1):
-        if element == x0:
-            return Classification("forbidden", m)
-    return REGULAR
+    _, m = _s_ratios(params, x0, depth)
+    return REGULAR if m is None else Classification("forbidden", m)
 
 
 @dataclass(frozen=True)
@@ -226,6 +223,8 @@ class SubstitutionReport:
     orbit_matches: tuple[bool, ...]
     closed_form_matches: tuple[bool, ...]
     pole_step: int | None
+
+    status = OrbitReport.status  # one formatter for every run that may meet the pole
 
     @property
     def passed(self) -> bool:
@@ -241,7 +240,7 @@ def substitution_check(
     """Build the linear t-sequence, form x(k) = t(k)/t(k+1), and verify both identities.
 
     Per step this checks x(k) against the iterated orbit of x0 = t0/t1 and
-    t(k) against its scaled-Lucas closed form q**(1-k) * (t1*u(k) + t0*u(k-1)).
+    t(k) against its scaled-Lucas closed form (t0*u(k+1) + (q*t1 - p*t0)*u(k)) / q**k.
     A vanishing t(k+1) maps to the orbit's pole at step k.
     """
     if params.branch != PLUS:
@@ -254,9 +253,10 @@ def substitution_check(
 
     t_values = terms(params.p / params.q, 1 / params.q, t0, t1, 0, n + 1)
 
-    u = lucas_window(*params.plus_form(), -1, n + 1)
+    u = lucas_window(*params.plus_form(), 0, n + 2)
+    c = params.q * t1 - params.p * t0
     closed_form_matches = tuple(
-        t_values[k] == params.q ** (1 - k) * (t1 * u[k + 1] + t0 * u[k])
+        t_values[k] == (t0 * u[k + 1] + c * u[k]) / params.q**k
         for k in range(n + 2)
     )
 

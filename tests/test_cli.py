@@ -278,6 +278,23 @@ def test_fibfunc_malformed_seed_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "header, code, message",
+    [
+        ("k=1 kind=weird r=1 s=1", 3, "error: kind must be 'standard' or 'odd', got 'weird'\n"),
+        ("k=1 kind=standard r=1 s=1 bogus=3", 3, "error: unknown header key 'bogus'\n"),
+        ("k=1 kind=standard r=1 s=1 s=2", 3, "error: repeated header key 's'\n"),
+        ("k=1 kind=standard r=0 s=1", 2, "error: r and s must be positive, got r=0, s=1\n"),
+    ],
+)
+def test_fibfunc_seed_header_exit_codes(capsys, tmp_path, header, code, message):
+    """A malformed header is a parse error (exit 3) like an unknown --parity; r=0 stays a domain error."""
+    path = tmp_path / "seed.txt"
+    path.write_text(header + "\n0/1 1/1 1/1\n", encoding="utf-8")
+    result = run_cli(capsys, ["fibfunc", "extend", "--seed-file", str(path), "--nmin", "0", "--nmax", "2"])
+    assert result == (code, "", message)
+
+
 # Golden output: stdout and exit code of every command below, in json and in
 # csv, captured once and compared byte for byte, so a refactor of the library
 # cannot change what the CLI prints.  Regenerate only for an intended output

@@ -222,3 +222,22 @@ def test_parse_seed_errors():
         parse_seed("k=1 kind=standard r=1 s=1\n0 1\n")  # short line
     with pytest.raises(DomainError):
         parse_seed("k=1 kind=standard r=-1 s=1\n0 1 1\n")  # negative coefficient
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("k=1 kind=weird r=1 s=1", "kind must be 'standard' or 'odd', got 'weird'"),
+        ("k=1 kind=standard r=1 s=1 bogus=3", "unknown header key 'bogus'"),
+        ("k=1 kind=standard r=1 s=1 r=2", "repeated header key 'r'"),
+        ("k=1 kind=odd kind=standard r=1 s=1", "repeated header key 'kind'"),
+    ],
+)
+def test_parse_seed_refuses_a_malformed_header(header, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_seed(header + "\n0 1 1\n")
+
+
+def test_parse_seed_zero_coefficient_is_a_domain_error():
+    with pytest.raises(DomainError, match="must be positive"):
+        parse_seed("k=1 kind=standard r=0 s=1\n0 1 1\n")

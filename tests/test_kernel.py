@@ -1,12 +1,14 @@
 """Differential tests for the integer recurrence kernel in `aurea.horadam`.
 
 `walk`, `terms` and `fast_term` clear denominators once, power the integer
-companion matrix to a window's start and step ints from there; here they are
+companion matrix to a window's start and step ints from there, and `ratios`
+steps the same ints from index 0; here they are
 checked against a plain-Fraction stepper that does none of this, on seeds
 whose denominators differ from each other and from the coefficients'.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from aurea.exact import abs_lt  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, verify_convergence  # noqa: E402
-from aurea.horadam import RecurrenceParams, fast_term, horadam_term, terms, walk  # noqa: E402
+from aurea.horadam import RecurrenceParams, fast_term, horadam_term, ratios, terms, walk  # noqa: E402
 from aurea.limits import ODD, STANDARD, RatioParams, cf_convergent, nesting_check  # noqa: E402
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -67,6 +69,17 @@ def test_fast_term_matches_the_fraction_stepper(w0, w1, p, q, n):
 def test_fast_term_equals_horadam_term_far_out(w0, w1, p, q, n):
     params = RecurrenceParams(w0, w1, p, q)
     assert fast_term(params, n) == horadam_term(params, n)
+
+
+@PROPERTY
+@given(A=rationals, B=nonzero, a=rationals, b=rationals, count=st.integers(0, 120))
+@example(A=Fraction(2, 3), B=Fraction(-5, 9), a=Fraction(0), b=Fraction(1, 4), count=40)
+@example(A=Fraction(1), B=Fraction(-1), a=Fraction(1), b=Fraction(1), count=12)  # u(2) = 0, period 6
+def test_ratios_match_the_fraction_stepper(A, B, a, b, count):
+    """u(k+1)/u(k) for k = 0 .. count, and None at every k with u(k) = 0."""
+    ref = reference(A, B, a, b, 0, count)
+    expected = [ref[k + 1] / ref[k] if ref[k] != 0 else None for k in range(count + 1)]
+    assert list(islice(ratios(A, B, a, b), count + 1)) == expected
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=5)

@@ -3,17 +3,22 @@
 Each parameter convention gets its own reference stepper here, written out
 in that convention's own signs, so a sign slip where a parameter type is
 converted to (A, B) fails against the reference instead of cancelling out.
-The last two properties check the conjugacies that let the library carry one
-branch and one parity: the minus branch is the plus branch under x -> -x, and
-the odd form is the standard form with alternating signs.
+The conjugacy properties check what lets the library carry one branch and
+one parity: the minus branch is the plus branch under x -> -x, and the odd
+form is the standard form with alternating signs.  The closed-form
+properties check the one sequence s(k) that `riccati` reads its closed form,
+forbidden depth and forbidden set from, against the paper's formula, the
+iterated map and the pole's preimage chain.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from test_riccati import paper_plus_closed_form  # noqa: E402
 
 from aurea.exact import DomainError  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, extend, ratio_trace  # noqa: E402
@@ -212,3 +217,61 @@ def test_odd_form_is_the_standard_form_with_alternating_signs(f0, f1, r, s, dire
     orbit, mirror_orbit = ratio_orbit(odd, f0, n), ratio_orbit(standard, -f0, n)
     assert orbit.trajectory == tuple(-g for g in mirror_orbit.trajectory)
     assert orbit.pole_step == mirror_orbit.pole_step
+
+
+@PROPERTY
+@given(
+    p=positive,
+    q=positive,
+    branch=st.sampled_from([PLUS, MINUS]),
+    x0=rationals,
+    forbidden=st.integers(0, 12),
+    n=st.integers(0, 40),
+)
+def test_closed_form_is_the_papers_plus_branch_formula(p, q, branch, x0, forbidden, n):
+    """The minus branch goes through the conjugacy: its orbit of x0 is the plus formula's orbit of -x0, negated."""
+    params = RiccatiParams(p, q, branch)
+    if forbidden:
+        x0 = forbidden_set(params, forbidden)[-1]
+    sign = 1 if branch == PLUS else -1
+    values, depth = paper_plus_closed_form(p, q, sign * x0, n)
+    if depth is None:
+        assert closed_form_trajectory(params, x0, n) == [sign * x for x in values]
+    else:
+        with pytest.raises(DomainError, match=f"^initial value {re.escape(str(x0))} is forbidden at depth {depth}$"):
+            closed_form_trajectory(params, x0, n)
+
+
+@PROPERTY
+@given(
+    p=positive,
+    q=positive,
+    branch=st.sampled_from([PLUS, MINUS]),
+    x0=rationals,
+    forbidden=st.integers(0, 14),
+    n=st.integers(1, 12),
+)
+@example(p=Fraction(7, 3), q=Fraction(5, 2), branch=PLUS, x0=Fraction(0), forbidden=5, n=5)
+@example(p=Fraction(7, 3), q=Fraction(5, 2), branch=MINUS, x0=Fraction(0), forbidden=6, n=5)
+@example(p=Fraction(7, 3), q=Fraction(5, 2), branch=PLUS, x0=Fraction(0), forbidden=1, n=1)
+def test_forbidden_depth_is_where_the_iterated_orbit_meets_the_pole(p, q, branch, x0, forbidden, n):
+    """classify_initial says forbidden_depth(m) exactly when iterate_orbit hits the pole at step m."""
+    params = RiccatiParams(p, q, branch)
+    if forbidden:
+        x0 = forbidden_set(params, forbidden)[-1]
+    pole_step = iterate_orbit(params, x0, n).pole_step
+    label = classify_initial(params, x0, n).label()
+    if pole_step is None:
+        assert not label.startswith("forbidden")
+    else:
+        assert label == f"forbidden_depth({pole_step})"
+
+
+@PROPERTY
+@given(p=positive, q=positive, branch=st.sampled_from([PLUS, MINUS]), depth=st.integers(1, 30))
+def test_forbidden_set_is_the_preimage_chain_of_the_pole(p, q, branch, depth):
+    pole = -p if branch == PLUS else p  # the zero of the map's denominator x + p or x - p
+    chain = [pole]
+    while len(chain) < depth:
+        chain.append(q / chain[-1] + pole)
+    assert forbidden_set(RiccatiParams(p, q, branch), depth) == chain

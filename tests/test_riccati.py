@@ -99,6 +99,28 @@ def test_closed_form_rejects_forbidden_seed():
         closed_form_term(GOLDEN_PLUS, -2, 5)
 
 
+def paper_plus_closed_form(p, q, x0, n):
+    """The paper's plus-branch closed form, kept here as an oracle for the library's
+    x(k) = sign*q*s(k-1)/s(k):
+
+        x(k) = q*(u(k) + u(k-1)*x0) / (u(k+1) + u(k)*x0)
+
+    with u the "+" form sequence u(k+2) = p*u(k+1) + q*u(k), u(0) = 0, u(1) = 1,
+    stepped here one Fraction at a time from u(-1) = 1/q.  Returns x(0) .. x(n),
+    or the values before the first vanishing denominator together with its depth k.
+    """
+    u = [1 / Fraction(q), Fraction(0), Fraction(1)]  # u[j] = u(j - 1)
+    while len(u) < n + 3:
+        u.append(p * u[-1] + q * u[-2])
+    values = []
+    for k in range(n + 1):
+        den = u[k + 2] + u[k + 1] * x0
+        if den == 0:
+            return values, k
+        values.append(q * (u[k + 1] + u[k] * x0) / den)
+    return values, None
+
+
 def paper_minus_closed_form(p, q, x0, n):
     """The paper's minus-branch closed form, kept here as an oracle for the library's
     conjugated plus branch:
