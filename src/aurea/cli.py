@@ -61,10 +61,11 @@ def _parse_surd(text: str) -> QuadraticSurd:
     fields = text.split(",")
     if len(fields) != 3:
         raise ValueError(f"expected 'a,b,d', got {text!r}")
-    a, b, d = parse_rational(fields[0]), parse_rational(fields[1]), int(fields[2])
-    if d < 1:  # a malformed literal (exit 3); the library's DomainError would read as a domain condition
+    a, b, d = (parse_rational(field) for field in fields)
+    # a malformed literal (exit 3); the library's DomainError would read as a domain condition
+    if d.denominator != 1 or d < 1:
         raise ValueError(f"radicand must be a positive integer, got {d}")
-    return QuadraticSurd(a, b, d)
+    return QuadraticSurd(a, b, int(d))
 
 
 def _parse_index_range(text: str) -> tuple[int, int]:

@@ -8,6 +8,7 @@ elements a + b*sqrt(d) of a real quadratic field.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm, sqrt
@@ -27,6 +28,9 @@ __all__ = [
     "surd_sign",
 ]
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 class DomainError(Exception):
     """An operation was asked to leave its mathematical domain."""
 
@@ -42,9 +46,16 @@ def as_rational(value: Fraction | int | str) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "num/den" literal (a bare integer is accepted) into a reduced Fraction."""
+    """Parse a "num/den" literal (a bare integer is accepted) into a reduced Fraction.
+
+    Exactly `[+-]?[0-9]+(/[0-9]+)?` after stripping whitespace: no decimal
+    point, exponent or digit separator, so no literal costs more than its digits.
+    """
+    match = _RATIONAL.fullmatch(text.strip())
     try:
-        return Fraction(text.strip())
+        if match is None:
+            raise ValueError("not of the form num/den")
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
 

@@ -79,6 +79,10 @@ class LatticeTrace:
     ratio_undefined_at: int | None = None
 
     def value_at(self, n: int) -> Fraction:
+        """f(ξ + n*k); an n outside the trace is refused, not read from the other end."""
+        last = self.n_start + len(self.values) - 1
+        if not self.n_start <= n <= last:
+            raise IndexError(f"n = {n} out of range [{self.n_start}, {last}]")
         return self.values[n - self.n_start]
 
 

@@ -248,12 +248,11 @@ def nesting_check(n_max: int) -> NestingReport:
     convergent_failures = []
     ordering_failures = []
     fib = terms(1, 1, 0, 1, 0, n_max + 1)
-    g = Fraction(0)
-    for n in range(n_max + 1):
+    orbit = ratio_orbit(RatioParams(1, 1), 0, n_max).trajectory
+    for n, g in enumerate(orbit):
         if g != Fraction(fib[n], fib[n + 1]):
             convergent_failures.append(n)
         side = (g - limit).sign()
         if side != (-1 if n % 2 == 0 else 1):
             ordering_failures.append(n)
-        g = 1 / (1 + g)
     return NestingReport(n_max, tuple(convergent_failures), tuple(ordering_failures))

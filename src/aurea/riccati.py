@@ -3,11 +3,14 @@
 The substitution x(n) = t(n)/t(n+1) turns the map into the linear recurrence
 t(n+1) = (p/q)*t(n) + (1/q)*t(n-1), which is what makes an exact closed form
 in terms of fundamental Lucas numbers possible.  `substitution_check` replays
-that derivation step by step as a verifiable identity.  Every closed-form
-fact about the orbit of x0 reads one sequence s(k) = u(k+1) + u(k)*sign*x0,
-u the fundamental Lucas sequence of the "+" form (p, q): the value
-x(k) = sign*q*s(k-1)/s(k), the depth k >= 1 at which x0 is forbidden (the
-first zero of s), and the forbidden set, the values -sign*u(m+1)/u(m).
+that derivation step by step as a verifiable identity.  The closed form reads
+one sequence s(k) = u(k+1) + u(k)*sign*x0, u the fundamental Lucas sequence of
+the "+" form (p, q): the value x(k) = sign*q*s(k-1)/s(k), refused at the first
+zero of s, and the forbidden set, the values -sign*u(m+1)/u(m).
+
+An initial value's fate is decided by its orbit alone: `iterate_orbit` is the
+one stepper, and `classify_initial` reads its classification, so x0 is
+forbidden at depth m exactly when the orbit meets the pole at step m.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -196,22 +199,16 @@ def classify_initial(
 ) -> Classification:
     """fixed_point, forbidden_depth(m) with m <= depth, or regular up to the probed depth.
 
-    x0 is forbidden at depth m exactly when s(m) = 0.  Membership in the
+    A rational x0 is classified by its orbit to `depth`.  Membership in the
     forbidden set is only semi-decided, so "regular" is relative to `depth`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    points = fixed_points(params)
-    if isinstance(x0, QuadraticSurd) and not x0.is_rational:
-        if x0 == points[0] or x0 == points[1]:
-            return FIXED_POINT
-        return REGULAR  # the forbidden set is rational, irrational values never meet it
-    x0 = x0.as_fraction() if isinstance(x0, QuadraticSurd) else as_rational(x0)
-    for point in points:
-        if point.is_rational and point.as_fraction() == x0:
-            return FIXED_POINT
-    _, m = _s_ratios(params, x0, depth)
-    return REGULAR if m is None else Classification("forbidden", m)
+    if isinstance(x0, QuadraticSurd):
+        if not x0.is_rational:  # the forbidden set is rational, irrational values never meet it
+            return FIXED_POINT if params.apply(x0) == x0 else REGULAR
+        x0 = x0.as_fraction()
+    return iterate_orbit(params, x0, depth).classification
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,9 @@ def test_classify_refuses_both_values(capsys):
     assert code == 3 and not out and "--x0" in err
 
 
-@pytest.mark.parametrize("surd", ["1,1,0", "1,1,-3", "1,1,x", "1,1"])
+@pytest.mark.parametrize("surd", ["1,1,0", "1,1,-3", "1,1,x", "1,1", "1,1,5_0", "1,1,1/2"])
 def test_malformed_surd_exits_3(capsys, surd):
-    """A radicand below 1 is a malformed literal like any other, not a domain condition."""
+    """A radicand that is not a positive integer is a malformed literal like any other, not a domain condition."""
     argv = ["riccati", "classify", "--p", "1", "--q", "1", "--branch", "plus", "--depth", "3", f"--surd={surd}"]
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and not out and err.startswith("error: ")

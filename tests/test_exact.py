@@ -27,7 +27,7 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "one half", "1/0", "2//3"]:
+    for bad in ["", "one half", "1/0", "2//3", "1e3", "1.5", "1_000"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
 

@@ -42,6 +42,9 @@ def test_extend_standard_both_directions():
     assert list(trace.values) == [-1, 1, 0, 1, 1, 2, 3, 5, 8]
     assert trace.n_start == -3
     assert trace.value_at(0) == 1 and trace.value_at(-1) == 0
+    for outside in (-4, 6):  # n_start - 1 and one past the end
+        with pytest.raises(IndexError, match=re.escape(f"n = {outside} out of range [-3, 5]")):
+            trace.value_at(outside)
 
 
 def test_extend_odd_forward():

@@ -6,9 +6,10 @@ converted to (A, B) fails against the reference instead of cancelling out.
 The conjugacy properties check what lets the library carry one branch and
 one parity: the minus branch is the plus branch under x -> -x, and the odd
 form is the standard form with alternating signs.  The closed-form
-properties check the one sequence s(k) that `riccati` reads its closed form,
-forbidden depth and forbidden set from, against the paper's formula, the
-iterated map and the pole's preimage chain.
+properties check the one sequence s(k) that `riccati` reads its closed form
+and forbidden set from, against the paper's formula, the iterated map's pole
+step and the pole's preimage chain; the root formula checks the fixed points
+that `classify_initial` reads off the orbit.
 """
 
 import re
@@ -20,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from test_riccati import paper_plus_closed_form  # noqa: E402
 
-from aurea.exact import DomainError  # noqa: E402
+from aurea.exact import DomainError, QuadraticSurd  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, extend, ratio_trace  # noqa: E402
 from aurea.horadam import (  # noqa: E402
     RecurrenceParams,
@@ -255,16 +256,56 @@ def test_closed_form_is_the_papers_plus_branch_formula(p, q, branch, x0, forbidd
 @example(p=Fraction(7, 3), q=Fraction(5, 2), branch=MINUS, x0=Fraction(0), forbidden=6, n=5)
 @example(p=Fraction(7, 3), q=Fraction(5, 2), branch=PLUS, x0=Fraction(0), forbidden=1, n=1)
 def test_forbidden_depth_is_where_the_iterated_orbit_meets_the_pole(p, q, branch, x0, forbidden, n):
-    """classify_initial says forbidden_depth(m) exactly when iterate_orbit hits the pole at step m."""
+    """classify_initial says forbidden_depth(m), and the closed form refuses at depth m
+    (its s(m) = 0), exactly when iterate_orbit hits the pole at step m."""
     params = RiccatiParams(p, q, branch)
     if forbidden:
         x0 = forbidden_set(params, forbidden)[-1]
-    pole_step = iterate_orbit(params, x0, n).pole_step
+    orbit = iterate_orbit(params, x0, n)
     label = classify_initial(params, x0, n).label()
-    if pole_step is None:
+    if orbit.pole_step is None:
         assert not label.startswith("forbidden")
+        assert closed_form_trajectory(params, x0, n) == list(orbit.trajectory)
     else:
-        assert label == f"forbidden_depth({pole_step})"
+        assert label == f"forbidden_depth({orbit.pole_step})"
+        with pytest.raises(DomainError, match=f" is forbidden at depth {orbit.pole_step}$"):
+            closed_form_trajectory(params, x0, n)
+
+
+@st.composite
+def riccati_and_candidate(draw):
+    """A map, square discriminants included, and an x0 near or at one of its fixed points."""
+    branch = draw(st.sampled_from([PLUS, MINUS]))
+    p = draw(positive)
+    if draw(st.booleans()):
+        q = draw(positive)
+    else:  # q = a*(p + a) puts the rational a among the roots of x**2 + p*x - q
+        a = draw(positive)
+        q = a * (p + a)
+    params = RiccatiParams(p, q, branch)
+    root = draw(st.sampled_from(fixed_points(params)))
+    x0 = draw(
+        st.one_of(
+            st.just(root),
+            nonzero.map(lambda shift: root + shift),
+            rationals,
+            st.builds(QuadraticSurd, rationals, nonzero, st.sampled_from([2, 3, 5, 6, 7])),  # other radicands
+        )
+    )
+    return params, x0
+
+
+@PROPERTY
+@given(case=riccati_and_candidate(), depth=st.integers(1, 20))
+@example(case=(RiccatiParams(1, 2, PLUS), Fraction(1)), depth=3)
+@example(case=(RiccatiParams(1, 2, PLUS), QuadraticSurd(-2)), depth=3)
+@example(case=(RiccatiParams(1, 2, MINUS), Fraction(2)), depth=3)
+@example(case=(RiccatiParams(1, 2, MINUS), Fraction(1)), depth=3)
+def test_classify_says_fixed_point_exactly_at_the_roots(case, depth):
+    """The orbit's test apply(x0) == x0 agrees with the roots of x**2 + sign*p*x - q."""
+    params, x0 = case
+    is_root = any(root == x0 for root in fixed_points(params))
+    assert (classify_initial(params, x0, depth).kind == "fixed_point") == is_root
 
 
 @PROPERTY
