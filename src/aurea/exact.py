@@ -104,6 +104,18 @@ def _sign(value: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
+def _int_sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) for ints p, q, with sqrt(d) irrational unless q == 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    sign_q = 1 if q > 0 else -1
+    if p == 0 or (p > 0) == (q > 0):
+        return sign_q
+    # opposite signs: compare p*p against q*q*d; sqrt(d) is irrational so
+    # the two can never be equal here
+    return -sign_q if p * p > q * q * d else sign_q
+
+
 @total_ordering
 class QuadraticSurd:
     """Exact element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
@@ -160,21 +172,21 @@ class QuadraticSurd:
         return self._a * self._a - self._b * self._b * self._d
 
     def sign(self) -> int:
-        """Exact sign, decided without floating point."""
-        a, b, d = self._a, self._b, self._d
-        if b == 0:
-            return _sign(a)
-        if a == 0:
-            return _sign(b)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a*a against b*b*d; sqrt(d) is irrational so
-        # the two can never be equal here
-        if a > 0:
-            return 1 if a * a > b * b * d else -1
-        return -1 if a * a > b * b * d else 1
+        """Exact sign, decided in integers without floating point."""
+        return self._sign_minus(0)
+
+    def _sign_minus(self, x: Fraction | int) -> int:
+        """Exact sign of self - x for a rational x, with no Fraction product and no surd built.
+
+        (a - x) + b*sqrt(d) times the positive a_den*x_den*b_den is
+        (a_num*x_den - x_num*a_den)*b_den + b_num*a_den*x_den*sqrt(d).
+        """
+        a, b, xd = self._a, self._b, x.denominator
+        return _int_sign(
+            (a.numerator * xd - x.numerator * a.denominator) * b.denominator,
+            b.numerator * a.denominator * xd,
+            self._d,
+        )
 
     def _coerce(self, other: object) -> QuadraticSurd | None:
         if isinstance(other, QuadraticSurd):
@@ -193,12 +205,13 @@ class QuadraticSurd:
         return self._d
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            return self._b == 0 and self._a == other
+        if not isinstance(other, QuadraticSurd):
             return NotImplemented
-        if self._b == 0 and rhs._b == 0:
-            return self._a == rhs._a
-        return self._a == rhs._a and self._b == rhs._b and self._d == rhs._d
+        if self._b == 0 and other._b == 0:
+            return self._a == other._a
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
         if self._b == 0:
@@ -206,10 +219,11 @@ class QuadraticSurd:
         return hash((self._a, self._b, self._d))
 
     def __lt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            return self._sign_minus(other) < 0
+        if not isinstance(other, QuadraticSurd):
             return NotImplemented
-        return (self - rhs).sign() < 0
+        return (self - other).sign() < 0
 
     def __neg__(self) -> QuadraticSurd:
         return QuadraticSurd(-self._a, -self._b, self._d)

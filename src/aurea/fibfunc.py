@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, abs_lt, as_rational, format_rational
+from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, as_rational, format_rational
 from .horadam import ratios, terms
 from .limits import ODD, STANDARD, ConvergenceCertificate, RatioParams, certificate, dominant_root
 
@@ -152,7 +152,8 @@ def verify_convergence(
     """For every offset, find the first n with |f(ξ+(n+1)k)/f(ξ+nk) - target| < epsilon.
 
     The target is the dominant root of x**2 = r*x + s, negated for the odd
-    form; the epsilon comparison is done exactly in the quadratic field.
+    form; each ratio is compared exactly with the interval (target - epsilon,
+    target + epsilon), whose two surd ends are built once, not per step.
     Golden seeds with a definite sign pattern additionally carry the Cauchy
     certificate bounding the same tail.  Seeds outside that pattern are
     iterated to the horizon and reported as-is.
@@ -164,6 +165,7 @@ def verify_convergence(
         raise ValueError("horizon must be nonnegative")
     kind = seed.kind
     target = kind.sign * dominant_root(kind.r, kind.s)
+    low, high = target - epsilon, target + epsilon
     A, B = kind.plus_form()
     reports = []
     for offset, (f0, f1) in zip(seed.offsets, seed.seed_pairs):
@@ -177,7 +179,7 @@ def verify_convergence(
         for n, ratio in zip(range(horizon + 1), ratios(A, B, f0, f1)):
             if ratio is not None:
                 achieved = ratio
-                if abs_lt(ratio - target, epsilon):
+                if low < ratio < high:
                     first_step = n
                     break
         reports.append(OffsetReport(offset, target, epsilon, first_step, achieved, horizon, cert))

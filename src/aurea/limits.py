@@ -247,12 +247,11 @@ def nesting_check(n_max: int) -> NestingReport:
     limit = GOLDEN_RATIO - 1
     convergent_failures = []
     ordering_failures = []
-    fib = terms(1, 1, 0, 1, 0, n_max + 1)
+    fib = [f.numerator for f in terms(1, 1, 0, 1, 0, n_max + 1)]
     orbit = ratio_orbit(RatioParams(1, 1), 0, n_max).trajectory
     for n, g in enumerate(orbit):
-        if g != Fraction(fib[n], fib[n + 1]):
+        if g.numerator * fib[n + 1] != g.denominator * fib[n]:  # g == F(n)/F(n+1), cross-multiplied
             convergent_failures.append(n)
-        side = (g - limit).sign()
-        if side != (-1 if n % 2 == 0 else 1):
+        if (g < limit) != (n % 2 == 0):  # g never equals the irrational limit
             ordering_failures.append(n)
     return NestingReport(n_max, tuple(convergent_failures), tuple(ordering_failures))

@@ -15,10 +15,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from aurea.exact import abs_lt  # noqa: E402
+from aurea.exact import GOLDEN_RATIO, QuadraticSurd, abs_lt  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, verify_convergence  # noqa: E402
 from aurea.horadam import RecurrenceParams, fast_term, horadam_term, ratios, terms, walk  # noqa: E402
-from aurea.limits import ODD, STANDARD, RatioParams, cf_convergent, nesting_check  # noqa: E402
+from aurea.limits import ODD, STANDARD, RatioParams, cf_convergent, nesting_check, ratio_orbit  # noqa: E402
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 nonzero = rationals.filter(lambda x: x != 0)
@@ -132,6 +132,38 @@ def test_int_inputs_return_the_int_values():
     assert nesting_check(60).passed
 
 
+def _first_hit_oracle(A, B, f0, f1, target, eps, horizon):
+    """The formulation verify_convergence replaced: abs_lt(ratio - target, eps) per step of horadam.ratios."""
+    first_step, achieved = None, None
+    for n, ratio in zip(range(horizon + 1), ratios(A, B, f0, f1)):
+        if ratio is not None:
+            achieved = ratio
+            if abs_lt(ratio - target, eps):
+                first_step = n
+                break
+    return first_step, achieved
+
+
+# the sweep workload's ratio coefficients, each with a seed pair whose f(0) vanishes
+SWEEP_SEEDS = [
+    (Fraction(1), Fraction(1), STANDARD, Fraction(0), Fraction(2, 3)),
+    (Fraction(3, 2), Fraction(2, 5), ODD, Fraction(0), Fraction(5, 3)),
+    (Fraction(2), Fraction(3, 4), STANDARD, Fraction(0), Fraction(1, 2)),
+    (Fraction(5, 3), Fraction(1, 2), STANDARD, Fraction(0), Fraction(4)),
+    (Fraction(7, 4), Fraction(4, 3), ODD, Fraction(0), Fraction(1, 3)),
+]
+
+
+def _with_sweep_edges(test):
+    """At the far end of the sweep ranges (horizon 600, eps 10**-80, so never within eps for most
+    seeds), and on seeds whose f(2) vanishes: f(1) = -s*f(0)/(±r)."""
+    for r, s, parity, f0, f1 in SWEEP_SEEDS:
+        test = example(f0=f0, f1=f1, r=r, s=s, parity=parity, eps=Fraction(1, 10**80), horizon=600)(test)
+        sign = 1 if parity == STANDARD else -1
+        test = example(f0=Fraction(1), f1=-s / (sign * r), r=r, s=s, parity=parity, eps=Fraction(1, 10), horizon=600)(test)
+    return test
+
+
 @PROPERTY
 @given(
     f0=rationals,
@@ -139,22 +171,76 @@ def test_int_inputs_return_the_int_values():
     r=st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5),
     s=st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5),
     parity=st.sampled_from([STANDARD, ODD]),
-    eps=st.sampled_from([Fraction(1, 10), Fraction(1, 10**4), Fraction(3, 10**9)]),
+    eps=st.sampled_from([Fraction(1, 10), Fraction(1, 10**4), Fraction(3, 10**9)])
+    | st.integers(1, 80).map(lambda k: Fraction(1, 10**k)),
+    horizon=st.just(60) | st.integers(0, 600),
 )
-@example(f0=Fraction(1, 4), f1=Fraction(5, 6), r=Fraction(1), s=Fraction(1), parity=STANDARD, eps=Fraction(1, 10**12))
-def test_verify_convergence_matches_the_fraction_stepper(f0, f1, r, s, parity, eps):
+@example(f0=Fraction(1, 4), f1=Fraction(5, 6), r=Fraction(1), s=Fraction(1), parity=STANDARD, eps=Fraction(1, 10**12), horizon=60)
+@_with_sweep_edges
+def test_verify_convergence_matches_the_fraction_stepper(f0, f1, r, s, parity, eps, horizon):
+    """first_step and ratio against a plain Fraction stepper and against the per-step abs_lt formulation."""
     if f0 == 0 and f1 == 0:
         return
     kind = RatioParams(r, s, parity)
-    (report,) = verify_convergence(PeriodicSeed(1, kind, (0,), ((f0, f1),)), eps, horizon=60)
+    (report,) = verify_convergence(PeriodicSeed(1, kind, (0,), ((f0, f1),)), eps, horizon=horizon)
     A = r if parity == STANDARD else -r
-    ref = reference(A, s, f0, f1, 0, 61)
+    ref = reference(A, s, f0, f1, 0, horizon + 1)
     first_step, achieved = None, None
-    for n in range(61):
+    for n in range(horizon + 1):
         if ref[n] != 0:
             achieved = ref[n + 1] / ref[n]
             if abs_lt(achieved - report.target, eps):
                 first_step = n
                 break
     assert (report.first_step, report.ratio) == (first_step, achieved)
+    assert (report.first_step, report.ratio) == _first_hit_oracle(A, s, f0, f1, report.target, eps, horizon)
 
+
+def _nesting_oracle(n_max):
+    """The formulation nesting_check replaced: a reduced Fraction per convergent and (g - limit).sign()."""
+    limit = GOLDEN_RATIO - 1
+    fib = terms(1, 1, 0, 1, 0, n_max + 1)
+    convergent_failures, ordering_failures = [], []
+    for n, g in enumerate(ratio_orbit(RatioParams(1, 1), 0, n_max).trajectory):
+        if g != Fraction(fib[n], fib[n + 1]):
+            convergent_failures.append(n)
+        if (g - limit).sign() != (-1 if n % 2 == 0 else 1):
+            ordering_failures.append(n)
+    return tuple(convergent_failures), tuple(ordering_failures)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 50, 51, 137, 600])
+def test_nesting_check_matches_the_surd_formulation(n_max):
+    report = nesting_check(n_max)
+    assert (report.convergent_failures, report.ordering_failures) == _nesting_oracle(n_max)
+    assert report.passed
+
+
+def _surds_built(monkeypatch, run):
+    """Number of QuadraticSurd constructions during run()."""
+    built = []
+    init = QuadraticSurd.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QuadraticSurd, "__init__", counting)
+        run()
+    return len(built)
+
+
+def test_verify_convergence_builds_no_surd_per_step(monkeypatch):
+    """epsilon = 10**-400 is never reached by n = 500, so every step compares; the surd count stays flat."""
+    seed = PeriodicSeed(1, RatioParams(1, 1), (0,), ((Fraction(1), Fraction(1)),))
+    eps = Fraction(1, 10**400)
+    counts = [_surds_built(monkeypatch, lambda: verify_convergence(seed, eps, horizon=h)) for h in (50, 500)]
+    assert counts[0] == counts[1]
+    (report,) = verify_convergence(seed, eps, horizon=500)
+    assert report.first_step is None
+
+
+def test_nesting_check_builds_no_surd_per_step(monkeypatch):
+    counts = [_surds_built(monkeypatch, lambda: nesting_check(n)) for n in (50, 500)]
+    assert counts[0] == counts[1]

@@ -1,0 +1,105 @@
+"""Ordering and equality of a quadratic surd against a rational, with sympy as the oracle.
+
+A surd a + b*sqrt(d) compared with an int or Fraction x is decided from the
+sign of (a - x) + b*sqrt(d) on cross-multiplied integers.  The hardest
+inputs are near-ties: x = a + b*p/q with p/q a continued-fraction convergent
+of sqrt(d), whose distance from the surd shrinks like 1/q**2.  sympy decides
+each sign on its own, exactly for a rational value and by `evalf(strict=True)`
+otherwise, which raises rather than return a digit it cannot certify.
+"""
+
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from aurea.exact import QuadraticSurd  # noqa: E402
+
+PROPERTY = settings(max_examples=300, deadline=None)
+
+parts = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+radicands = st.integers(2, 60) | st.sampled_from([8, 12, 50])
+
+
+def convergents(d: int, max_bits: int = 300) -> list[Fraction]:
+    """Continued-fraction convergents of sqrt(d) up to a max_bits-bit denominator; [sqrt(d)] for a square."""
+    a0 = isqrt(d)
+    out = [Fraction(a0)]
+    if a0 * a0 == d:
+        return out
+    m, den, a = 0, 1, a0
+    h0, h1, k0, k1 = 1, a0, 0, 1
+    while k1.bit_length() < max_bits:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        out.append(Fraction(h1, k1))
+    return out
+
+
+def sympy_sign(a: Fraction, b: Fraction, d: int, x: Fraction | int) -> int:
+    """sympy's sign of (a + b*sqrt(d)) - x."""
+    value = sympy.Rational(str(a)) + sympy.Rational(str(b)) * sympy.sqrt(d) - sympy.Rational(str(x))
+    if not value.is_Rational:
+        value = value.evalf(15, strict=True, maxn=4000)
+    return int(sympy.sign(value))
+
+
+@st.composite
+def rationals_near(draw, a: Fraction, b: Fraction, d: int):
+    """An int, an arbitrary fraction, or a near-tie a + b*p/q with p/q a convergent of sqrt(d)."""
+    kind = draw(st.sampled_from(["int", "fraction", "near_tie"]))
+    if kind == "int":
+        return draw(st.integers(-300, 300))
+    if kind == "fraction":
+        return draw(st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**6))
+    steps = convergents(d)
+    return a + b * steps[draw(st.integers(0, len(steps) - 1))]
+
+
+@st.composite
+def surd_and_rational(draw):
+    a, b, d = draw(parts), draw(parts), draw(radicands)
+    return a, b, d, draw(rationals_near(a, b, d))
+
+
+def _checks(surd: QuadraticSurd, x: Fraction | int, expected: int) -> None:
+    assert surd.sign() == sympy_sign(surd.a, surd.b, surd.d, 0)
+    assert (surd < x, surd <= x, surd > x, surd >= x) == (expected < 0, expected <= 0, expected > 0, expected >= 0)
+    assert (surd == x, surd != x) == (expected == 0, expected != 0)
+    assert (x > surd, x >= surd, x < surd, x <= surd) == (expected < 0, expected <= 0, expected > 0, expected >= 0)
+    assert (x == surd, x != surd) == (expected == 0, expected != 0)
+
+
+@PROPERTY
+@given(case=surd_and_rational())
+@example(case=(Fraction(1, 2), Fraction(1, 2), 5, Fraction(1, 2) + Fraction(1, 2) * convergents(5)[-1]))
+@example(case=(Fraction(-7, 3), Fraction(5, 11), 50, Fraction(-7, 3) + Fraction(5, 11) * convergents(50)[-2]))
+@example(case=(Fraction(3), Fraction(-2), 12, Fraction(3) - 2 * convergents(12)[-1]))
+@example(case=(Fraction(0), Fraction(-1, 7), 8, 0))
+@example(case=(Fraction(5, 2), Fraction(1, 3), 36, Fraction(9, 2)))  # sqrt(36) = 6: a tie, so ==
+@example(case=(Fraction(-4), Fraction(0), 7, -4))
+def test_rational_comparisons_match_sympy(case):
+    """<, <=, >, >=, == and != in both operand orders, and sign(), against sympy's decision."""
+    a, b, d, x = case
+    _checks(QuadraticSurd(a, b, d), x, sympy_sign(a, b, d, x))
+
+
+@PROPERTY
+@given(a=parts, b=parts, d=st.sampled_from([4, 9, 25, 36, 49]), zero_b=st.booleans())
+def test_a_rational_valued_surd_equals_and_hashes_like_its_value(a, b, d, zero_b):
+    """b == 0 after construction, either given so or because d is a square."""
+    surd = QuadraticSurd(a, 0, 7) if zero_b else QuadraticSurd(a, b, d)
+    value = a if zero_b else a + b * isqrt(d)
+    assert surd.is_rational and surd.b == 0
+    assert surd == value and value == surd and not surd != value
+    assert hash(surd) == hash(value)
+    if value.denominator == 1:
+        assert surd == int(value) and int(value) == surd and hash(surd) == hash(int(value))
+    assert surd != value + Fraction(1, 10**40) and surd < value + Fraction(1, 10**40)
