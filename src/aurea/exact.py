@@ -66,6 +66,22 @@ def format_rational(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _from_coprime(numerator: int, denominator: int) -> Fraction:
+    """numerator/denominator for coprime ints, denominator nonzero, with no gcd.
+
+    `Fraction(n, d)` runs gcd(n, d) on every call; callers that already know
+    the pair is coprime build the value here, through the `_numerator` and
+    `_denominator` slots every supported Python version has.  The sign moves
+    to the numerator, so the result is the canonical Fraction.
+    """
+    if denominator < 0:
+        numerator, denominator = -numerator, -denominator
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
+
+
 def _square_split(n: int) -> tuple[int, int]:
     """Write n = s*s*d with d square-free.
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, as_rational, format_rational
-from .horadam import ratios, terms
+from .horadam import _inverse_ratios, ratios, terms
 from .limits import ODD, STANDARD, ConvergenceCertificate, RatioParams, certificate, dominant_root
 
 __all__ = [
@@ -116,14 +117,11 @@ def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: in
     f0, f1 = seed.seed_pairs[offset_index]
     if f0 == 0 and f1 == 0:
         raise DomainError(f"degenerate all-zero lattice at offset {offset}")
-    values = terms(*seed.kind.plus_form(), f0, f1, n_min, n_max + 1)
-    ratio_values = []
-    undefined_at = None
-    for i in range(n_max + 1 - n_min):
-        if values[i + 1] == 0:
-            undefined_at = n_min + i
-            break
-        ratio_values.append(values[i] / values[i + 1])
+    A, B = seed.kind.plus_form()
+    values = terms(A, B, f0, f1, n_min, n_max + 1)
+    count = n_max + 1 - n_min
+    ratio_values = list(islice(_inverse_ratios(A, B, values[0], values[1]), count))
+    undefined_at = n_min + len(ratio_values) if len(ratio_values) < count else None
     return LatticeTrace(offset, n_min, tuple(values), tuple(ratio_values), undefined_at)
 
 

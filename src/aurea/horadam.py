@@ -23,7 +23,7 @@ E = lcm(den u(0), den u(1)); then u(k) = w(k) / (E*D**k), where
 
     w(k+2) = (A*D)*w(k+1) + (B*D**2)*w(k),    w(0) = E*u(0),  w(1) = E*D*u(1),
 
-is an integer recurrence, so each returned term costs one division at the
+is an integer recurrence, so each returned term costs one reduction at the
 end instead of a gcd-reduced Fraction at every step.  `terms` reaches its
 start by powering the companion matrix [[A*D, B*D**2], [1, 0]], O(log|lo|)
 products, and steps one term at a time only through the window; `ratios`
@@ -31,16 +31,25 @@ steps the same cleared integers from index 0 without end.  A negative
 index is the forward run of the reversed recurrence v(j) = u(-j), with
 coefficients (-A/B, 1/B) and seeds (u(0), u(-1)), so one integer path
 serves both directions.
+
+A ratio needs no gcd of two big ints.  `ratios` keeps the pair (w(k),
+w(k+1)) coprime: a step multiplies it by the companion matrix, whose
+determinant is -Q, so the next pair's common factor divides the small int
+Q, and a coprime pair's ratio w(k+1)/(D*w(k)) reduces by gcd(D, w(k+1)).
+Each gcd has one small operand and costs one pass over the big one, and
+`exact._from_coprime` builds the reduced Fraction without a second gcd.  A
+window term w(k)/(E*D**k) has no such small bound on its common factor, so
+`terms` reduces each with a full gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator
 
-from .exact import DomainError, as_rational
+from .exact import DomainError, _from_coprime, as_rational
 
 __all__ = [
     "FIBONACCI",
@@ -150,11 +159,37 @@ def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
 
 
 def ratios(A, B, a, b) -> Iterator[Fraction | None]:
-    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0; each is w(k+1)/(D*w(k)) on the cleared ints."""
-    P, Q, x, y, _, D = _start(A, B, a, b, 0)
+    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0; each is w(k+1)/(D*w(k)) on the cleared ints.
+
+    (x, y) = (w(k), w(k+1)) is kept coprime, so every gcd here has one small
+    operand: Q, which holds a step's common factor, or D.
+    """
+    P, Q, x, y, _, D = clear(A, B, a, b)
+    g = gcd(x, y)
+    if g > 1:
+        x, y = x // g, y // g
+    Q_abs = abs(Q)
     while True:
-        yield Fraction(y, D * x) if x else None
+        if x:
+            g = gcd(D, y)
+            yield _from_coprime(y // g, D // g * x)
+        else:
+            yield None
         x, y = y, P * y + Q * x
+        g = gcd(Q_abs, x, y)
+        if g > 1:
+            x, y = x // g, y // g
+
+
+def _inverse_ratios(A, B, a, b) -> Iterator[Fraction]:
+    """u(k)/u(k+1) for k = 0, 1, 2, ..., 0 where u(k) = 0, ending before the first u(k+1) = 0.
+
+    Each value is a `ratios` value turned over, already reduced.
+    """
+    for ratio in ratios(A, B, a, b):
+        if ratio == 0:
+            return
+        yield _from_coprime(0, 1) if ratio is None else _from_coprime(ratio.denominator, ratio.numerator)
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:

@@ -12,6 +12,14 @@ An initial value's fate is decided by its orbit alone: `iterate_orbit` is the
 one stepper, and `classify_initial` reads its classification, so x0 is
 forbidden at depth m exactly when the orbit meets the pole at step m.
 
+Every stream here is a run of ratios of a two-term linear recurrence, and
+none runs a gcd of two big ints per step.  `iterate_orbit` steps x = a/b as a
+coprime int pair through the map's 2x2 matrix, whose common factors divide
+its small determinant; the closed form and the forbidden set scale the
+kernel's reduced `ratios` by q, with gcds against q's small parts; and
+`substitution_check` reads x(k) = t(k)/t(k+1) off the same stream and
+decides its closed-form identity by cross-multiplying ints.
+
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
 The paper's closed forms for both branches are kept as test oracles.
@@ -22,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, takewhile
+from math import gcd
 
-from .exact import DomainError, QuadraticSurd, as_rational, quadratic_roots
-from .horadam import lucas_window, ratios, terms
+from .exact import DomainError, QuadraticSurd, _from_coprime, as_rational, quadratic_roots
+from .horadam import _inverse_ratios, lucas_window, ratios, terms
 
 __all__ = [
     "MINUS",
@@ -125,14 +134,23 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
     x0 = as_rational(x0)
     trajectory = [x0]
     pole_step = None
-    x = x0
+    # x = a/b steps as (a, b) -> (qn*sd*b, qd*(sd*a + sn*b)) with q = qn/qd and
+    # sign*p = sn/sd, a zero b' at the pole; the step's determinant is
+    # -qn*qd*sd**2, so that small int holds every common factor of a coprime
+    # pair's image
+    qn, qd = params.q.numerator, params.q.denominator
+    sn, sd = params._shift.numerator, params._shift.denominator
+    top, det = qn * sd, qn * qd * sd * sd
+    a, b = x0.numerator, x0.denominator
     for step in range(1, n + 1):
-        den = params.denominator_at(x)
-        if den == 0:
+        a, b = top * b, qd * (sd * a + sn * b)
+        if not b:
             pole_step = step
             break
-        x = params.q / den
-        trajectory.append(x)
+        g = gcd(det, a, b)
+        if g > 1:
+            a, b = a // g, b // g
+        trajectory.append(_from_coprime(a, b))
     if pole_step is not None:
         classification = Classification("forbidden", pole_step)
     elif params.denominator_at(x0) == 0:
@@ -162,8 +180,12 @@ def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: i
     s_ratios, depth = _s_ratios(params, x0, n)
     if depth is not None:
         raise DomainError(f"initial value {x0} is forbidden at depth {depth}")
-    q = params.sign * params.q
-    return [x0] + [q / ratio for ratio in s_ratios]
+    qn, qd = params.sign * params.q.numerator, params.q.denominator
+    values = [x0]
+    for ratio in s_ratios:  # x(k) = sign*q / ratio, reduced by gcds with q's small parts
+        g, h = gcd(qn, ratio.numerator), gcd(qd, ratio.denominator)
+        values.append(_from_coprime(qn // g * (ratio.denominator // h), qd // h * (ratio.numerator // g)))
+    return values
 
 
 def closed_form_term(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Fraction:
@@ -189,7 +211,7 @@ def forbidden_set(params: RiccatiParams, depth: int) -> list[Fraction]:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     u_ratios, _ = _s_ratios(params, Fraction(0), depth)  # x0 = 0 makes s(k) = u(k+1) > 0
-    return [-params.sign * ratio for ratio in u_ratios]
+    return [_from_coprime(-params.sign * ratio.numerator, ratio.denominator) for ratio in u_ratios]
 
 
 def classify_initial(
@@ -248,28 +270,30 @@ def substitution_check(
     if t1 == 0:
         raise DomainError("t1 = 0 leaves x0 = t0/t1 undefined")
 
-    t_values = terms(params.p / params.q, 1 / params.q, t0, t1, 0, n + 1)
+    A, B = params.p / params.q, 1 / params.q
+    t_values = terms(A, B, t0, t1, 0, n + 1)
 
+    # t(k)*q**k == t0*u(k+1) + c*u(k), decided on ints: the right side is
+    # num/den unreduced, and q**k is carried as its parts qn**k and qd**k
     u = lucas_window(*params.plus_form(), 0, n + 2)
     c = params.q * t1 - params.p * t0
-    closed_form_matches = tuple(
-        t_values[k] == (t0 * u[k + 1] + c * u[k]) / params.q**k
-        for k in range(n + 2)
-    )
+    a_num, a_den, c_num, c_den = t0.numerator, t0.denominator, c.numerator, c.denominator
+    qn, qd = params.q.numerator, params.q.denominator
+    qn_k = qd_k = 1
+    closed_form_matches = []
+    for t, u0, u1 in zip(t_values, u, u[1:]):
+        num = a_num * c_den * u1.numerator * u0.denominator + c_num * a_den * u0.numerator * u1.denominator
+        den = a_den * c_den * u0.denominator * u1.denominator
+        closed_form_matches.append(t.numerator * qn_k * den == t.denominator * qd_k * num)
+        qn_k *= qn
+        qd_k *= qd
 
     orbit = iterate_orbit(params, t0 / t1, n)
-    ratio_values: list[Fraction] = []
-    orbit_matches: list[bool] = []
-    pole_step = None
-    for k in range(n + 1):
-        if t_values[k + 1] == 0:
-            pole_step = k
-            break
-        ratio_values.append(t_values[k] / t_values[k + 1])
-        if k < len(orbit.trajectory):
-            orbit_matches.append(ratio_values[k] == orbit.trajectory[k])
-        else:
-            orbit_matches.append(False)
+    ratio_values = list(islice(_inverse_ratios(A, B, t0, t1), n + 1))
+    pole_step = len(ratio_values) if len(ratio_values) <= n else None  # t(k+1) = 0 is the pole at step k
+    orbit_matches = [
+        k < len(orbit.trajectory) and value == orbit.trajectory[k] for k, value in enumerate(ratio_values)
+    ]
     if pole_step != orbit.pole_step:
         # the two pole accounts must agree; disagreement is a failed check
         orbit_matches.append(False)
@@ -277,6 +301,6 @@ def substitution_check(
         tuple(t_values),
         tuple(ratio_values),
         tuple(orbit_matches),
-        closed_form_matches,
+        tuple(closed_form_matches),
         pole_step,
     )

@@ -17,9 +17,38 @@ from aurea.exact import (
     sqrt_decomposition,
     surd_sign,
 )
+from aurea.exact import _from_coprime
 
 
-def test_parse_format_round_trip():
+def _coprime_pairs(rng, count):
+    """Coprime (n, d), d != 0, of either sign and from 1 to 3000 bits, edge pairs first."""
+    pairs = [(0, 1), (0, -1), (1, 1), (-1, -1), (5, -3), (-5, 3), (2**3000 + 1, -(2**3001))]
+    while len(pairs) < count:
+        bits = rng.choice((4, 64, 3000))
+        n, d = rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits)
+        if d and math.gcd(n, d) == 1:
+            pairs.append((n, d))
+    return pairs
+
+
+def test_from_coprime_is_the_fraction_the_constructor_builds():
+    """The gcd-free builder against Fraction(n, d): fields, equality, hash, order and arithmetic."""
+    rng = random.Random(19)
+    others = [Fraction(-7, 12), Fraction(3), Fraction(2**70 + 1, 3**40)]
+    for n, d in _coprime_pairs(rng, 400):
+        built, ref = _from_coprime(n, d), Fraction(n, d)
+        assert isinstance(built, Fraction) and type(built) is Fraction
+        assert (built.numerator, built.denominator) == (ref.numerator, ref.denominator)
+        assert built == ref and hash(built) == hash(ref)
+        assert format_rational(built) == format_rational(ref)
+        assert (built < 0, built > 1, -built) == (ref < 0, ref > 1, -ref)
+        for other in others:
+            assert (built < other, other < built) == (ref < other, other < ref)
+            assert built + other == ref + other and built * other == ref * other
+            assert built / other == ref / other
+            if n:
+                assert other / built == other / ref
+
     for text in ["-3/2", "7/1", "0/1", "355/113"]:
         assert format_rational(parse_rational(text)) == text
     assert parse_rational("5") == 5

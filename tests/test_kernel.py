@@ -5,10 +5,16 @@ companion matrix to a window's start and step ints from there, and `ratios`
 steps the same ints from index 0; here they are
 checked against a plain-Fraction stepper that does none of this, on seeds
 whose denominators differ from each other and from the coefficients'.
+
+The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
+closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
+checked the same way, and a count of `Fraction.__new__` calls that must not
+grow with n keeps a per-step gcd from coming back.
 """
 
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 
@@ -16,9 +22,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from aurea.exact import GOLDEN_RATIO, QuadraticSurd, abs_lt  # noqa: E402
-from aurea.fibfunc import PeriodicSeed, verify_convergence  # noqa: E402
-from aurea.horadam import RecurrenceParams, fast_term, horadam_term, ratios, terms, walk  # noqa: E402
+from aurea import fibfunc, riccati  # noqa: E402
+from aurea.fibfunc import PeriodicSeed, ratio_trace, verify_convergence  # noqa: E402
+from aurea.horadam import RecurrenceParams, fast_term, horadam_term, lucas_window, ratios, terms, walk  # noqa: E402
 from aurea.limits import ODD, STANDARD, RatioParams, cf_convergent, nesting_check, ratio_orbit  # noqa: E402
+from aurea.riccati import (  # noqa: E402
+    MINUS,
+    PLUS,
+    RiccatiParams,
+    closed_form_trajectory,
+    forbidden_set,
+    iterate_orbit,
+    substitution_check,
+)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 nonzero = rationals.filter(lambda x: x != 0)
@@ -35,6 +51,11 @@ def reference(A, B, a, b, lo, hi):
     for k in range(-1, lo - 1, -1):
         values[k] = (values[k + 2] - A * values[k + 1]) / B
     return values
+
+
+def _canonical(value):
+    """A reduced Fraction with a positive denominator, the only form Fraction(n, d) ever builds."""
+    return type(value) is Fraction and value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
 
 
 @PROPERTY
@@ -71,15 +92,184 @@ def test_fast_term_equals_horadam_term_far_out(w0, w1, p, q, n):
     assert fast_term(params, n) == horadam_term(params, n)
 
 
+# coefficients whose cleared Q = B*D**2 has squared primes, so a step's common factor is a prime power
+squared = st.sampled_from([Fraction(4), Fraction(-12), Fraction(9, 4), Fraction(-18, 25), Fraction(8, 9), Fraction(-1, 49)])
+
+
 @PROPERTY
-@given(A=rationals, B=nonzero, a=rationals, b=rationals, count=st.integers(0, 120))
-@example(A=Fraction(2, 3), B=Fraction(-5, 9), a=Fraction(0), b=Fraction(1, 4), count=40)
-@example(A=Fraction(1), B=Fraction(-1), a=Fraction(1), b=Fraction(1), count=12)  # u(2) = 0, period 6
-def test_ratios_match_the_fraction_stepper(A, B, a, b, count):
-    """u(k+1)/u(k) for k = 0 .. count, and None at every k with u(k) = 0."""
+@given(
+    A=rationals,
+    B=nonzero | squared,
+    a=rationals,
+    b=rationals,
+    scale=st.integers(-36, 36).filter(bool),
+    count=st.integers(0, 120),
+)
+@example(A=Fraction(2, 3), B=Fraction(-5, 9), a=Fraction(0), b=Fraction(1, 4), scale=1, count=40)
+@example(A=Fraction(1), B=Fraction(-1), a=Fraction(1), b=Fraction(1), scale=1, count=12)  # u(2) = 0, period 6
+@example(A=Fraction(2), B=Fraction(-4), a=Fraction(1), b=Fraction(2), scale=6, count=30)  # u(2) = 0, Q = -4
+@example(A=Fraction(3), B=Fraction(-12), a=Fraction(-1), b=Fraction(5, 3), scale=-18, count=80)
+@example(A=Fraction(0), B=Fraction(9, 4), a=Fraction(0), b=Fraction(1), scale=12, count=20)  # every even u(k) = 0
+def test_ratios_match_the_fraction_stepper(A, B, a, b, scale, count):
+    """u(k+1)/u(k) for k = 0 .. count, and None at every k with u(k) = 0; seeds scaled by a common factor."""
+    a, b = scale * a, scale * b
     ref = reference(A, B, a, b, 0, count)
     expected = [ref[k + 1] / ref[k] if ref[k] != 0 else None for k in range(count + 1)]
-    assert list(islice(ratios(A, B, a, b), count + 1)) == expected
+    got = list(islice(ratios(A, B, a, b), count + 1))
+    assert got == expected
+    assert all(ratio is None or _canonical(ratio) for ratio in got)
+
+
+def _orbit_reference(p, q, sign, x0, n):
+    """(trajectory, pole_step) of x -> q/(x + sign*p), one Fraction step at a time."""
+    trajectory, x = [x0], x0
+    for step in range(1, n + 1):
+        if x + sign * p == 0:
+            return trajectory, step
+        x = q / (x + sign * p)
+        trajectory.append(x)
+    return trajectory, None
+
+
+def _pole_preimages(p, q, sign, depth):
+    """x0 forbidden at depths 1 .. depth: the pole, then x -> q/x - sign*p, the inverse map, from it."""
+    x, found = -sign * p, []
+    while len(found) < depth and x != 0:
+        found.append(x)
+        x = q / x - sign * p
+    return found
+
+
+positive = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+# prime powers in both parts, so the step's det = qn*qd*sd**2 holds squared and cubed primes
+prime_power = st.sampled_from([Fraction(4, 27), Fraction(8, 9), Fraction(27, 8), Fraction(9, 4), Fraction(1, 16), Fraction(25, 2)])
+
+
+@PROPERTY
+@given(
+    p=positive | prime_power,
+    q=positive | prime_power,
+    branch=st.sampled_from([PLUS, MINUS]),
+    x0=rationals,
+    depth=st.integers(1, 40),
+    n=st.integers(0, 60),
+)
+@example(p=Fraction(4, 27), q=Fraction(8, 9), branch=PLUS, x0=Fraction(1, 2), depth=40, n=60)
+@example(p=Fraction(4, 27), q=Fraction(8, 9), branch=MINUS, x0=Fraction(-2, 3), depth=40, n=60)
+def test_iterate_orbit_matches_the_fraction_stepper(p, q, branch, x0, depth, n):
+    """The trajectory and pole step of x0 and of a point forbidden at `depth`, against a Fraction stepper."""
+    params = RiccatiParams(p, q, branch)
+    starts = [x0] + _pole_preimages(p, q, params.sign, depth)[-1:]
+    for start in starts:
+        report = iterate_orbit(params, start, n)
+        trajectory, pole_step = _orbit_reference(p, q, params.sign, start, n)
+        assert report.trajectory == tuple(trajectory)
+        assert report.pole_step == pole_step
+        assert all(_canonical(x) for x in report.trajectory)
+
+
+@pytest.mark.parametrize("branch", [PLUS, MINUS])
+@pytest.mark.parametrize("p, q", [(Fraction(4, 27), Fraction(8, 9)), (Fraction(7, 3), Fraction(5, 2)), (Fraction(1), Fraction(1))])
+def test_iterate_orbit_meets_the_pole_at_every_depth(p, q, branch):
+    params = RiccatiParams(p, q, branch)
+    preimages = _pole_preimages(p, q, params.sign, 60)
+    assert len(preimages) == 60  # the inverse map keeps the pole's sign, so 0 never turns up
+    for depth, x0 in enumerate(preimages, start=1):
+        report = iterate_orbit(params, x0, 60)
+        assert report.pole_step == depth
+        assert report.classification.label() == f"forbidden_depth({depth})"
+        assert report.trajectory == tuple(_orbit_reference(p, q, params.sign, x0, 60)[0])
+
+
+def _ratio_trace_reference(A, B, f0, f1, n_min, n_max):
+    """(values, ratios, undefined_at) of ratio_trace, from the Fraction stepper."""
+    ref = reference(A, B, f0, f1, n_min, n_max + 1)
+    values = tuple(ref[n] for n in range(n_min, n_max + 2))
+    found = []
+    for n in range(n_min, n_max + 1):
+        if ref[n + 1] == 0:
+            return values, tuple(found), n
+        found.append(ref[n] / ref[n + 1])
+    return values, tuple(found), None
+
+
+ratio_coefficient = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+
+
+@PROPERTY
+@given(
+    f0=rationals,
+    f1=rationals,
+    r=ratio_coefficient,
+    s=ratio_coefficient,
+    parity=st.sampled_from([STANDARD, ODD]),
+    n_min=st.integers(-60, 0),
+    width=st.integers(0, 60),
+)
+@example(f0=Fraction(0), f1=Fraction(2, 3), r=Fraction(1), s=Fraction(1), parity=STANDARD, n_min=0, width=5)  # g(0) = 0
+@example(f0=Fraction(0), f1=Fraction(2, 3), r=Fraction(3, 2), s=Fraction(2, 5), parity=ODD, n_min=-7, width=9)  # f(0) = 0
+@example(f0=Fraction(1), f1=Fraction(1), r=Fraction(1), s=Fraction(1), parity=ODD, n_min=-4, width=10)  # f(2) = 0
+@example(f0=Fraction(5, 3), f1=Fraction(0), r=Fraction(7, 4), s=Fraction(4, 3), parity=STANDARD, n_min=-60, width=60)
+def test_ratio_trace_matches_the_fraction_stepper(f0, f1, r, s, parity, n_min, width):
+    if f0 == 0 and f1 == 0:
+        return
+    seed = PeriodicSeed(1, RatioParams(r, s, parity), (0,), ((f0, f1),))
+    trace = ratio_trace(seed, 0, n_min, n_min + width)
+    A = r if parity == STANDARD else -r
+    assert (trace.values, trace.ratios, trace.ratio_undefined_at) == _ratio_trace_reference(A, s, f0, f1, n_min, n_min + width)
+    assert all(_canonical(g) for g in trace.ratios)
+
+
+def _substitution_reference(params, t0, t1, n):
+    """substitution_check's earlier Fraction formulation: t(k)/t(k+1) per step, the closed form as a Fraction."""
+    t_values = terms(params.p / params.q, 1 / params.q, t0, t1, 0, n + 1)
+    u = lucas_window(params.p, params.q, 0, n + 2)
+    c = params.q * t1 - params.p * t0
+    closed_form_matches = tuple(t_values[k] == (t0 * u[k + 1] + c * u[k]) / params.q**k for k in range(n + 2))
+    trajectory, orbit_pole = _orbit_reference(params.p, params.q, 1, t0 / t1, n)
+    ratio_values, orbit_matches, pole_step = [], [], None
+    for k in range(n + 1):
+        if t_values[k + 1] == 0:
+            pole_step = k
+            break
+        ratio_values.append(t_values[k] / t_values[k + 1])
+        orbit_matches.append(k < len(trajectory) and ratio_values[k] == trajectory[k])
+    if pole_step != orbit_pole:
+        orbit_matches.append(False)
+    return tuple(t_values), tuple(ratio_values), tuple(orbit_matches), closed_form_matches, pole_step
+
+
+def _report_fields(report):
+    return report.t_values, report.ratio_values, report.orbit_matches, report.closed_form_matches, report.pole_step
+
+
+@PROPERTY
+@given(p=positive | prime_power, q=positive | prime_power, t0=rationals, t1=nonzero, n=st.integers(0, 80))
+@example(p=Fraction(1), q=Fraction(1), t0=Fraction(-2), t1=Fraction(1), n=6)  # t(3) = 0: the pole at step 2
+@example(p=Fraction(4, 27), q=Fraction(8, 9), t0=Fraction(-4, 27), t1=Fraction(1), n=20)  # t(2) = 0
+@example(p=Fraction(7, 3), q=Fraction(5, 2), t0=Fraction(0), t1=Fraction(3, 4), n=40)  # x(0) = 0
+def test_substitution_check_matches_the_fraction_formulation(p, q, t0, t1, n):
+    params = RiccatiParams(p, q, PLUS)
+    report = substitution_check(params, t0, t1, n)
+    assert _report_fields(report) == _substitution_reference(params, t0, t1, n)
+    assert report.passed
+    assert all(_canonical(x) for x in report.ratio_values)
+
+
+@pytest.mark.parametrize("planted", [0, 1, 7, 31])
+def test_substitution_check_fails_exactly_at_a_planted_t_value(monkeypatch, planted):
+    """One wrong t(k) from the window is caught by the closed-form check at k, and nowhere else."""
+    params, n = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS), 30
+
+    def planted_terms(*args):
+        values = terms(*args)
+        values[planted] += 1
+        return values
+
+    monkeypatch.setattr(riccati, "terms", planted_terms)
+    report = substitution_check(params, Fraction(1, 3), Fraction(2, 5), n)
+    assert report.closed_form_matches == tuple(k != planted for k in range(n + 2))
+    assert not report.passed
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=5)
@@ -243,4 +433,56 @@ def test_verify_convergence_builds_no_surd_per_step(monkeypatch):
 
 def test_nesting_check_builds_no_surd_per_step(monkeypatch):
     counts = [_surds_built(monkeypatch, lambda: nesting_check(n)) for n in (50, 500)]
+    assert counts[0] == counts[1]
+
+
+def _fractions_built(monkeypatch, run):
+    """Number of Fraction.__new__ calls during run().
+
+    Fraction(n, d) runs gcd(n, d) there, and on 3.10 and 3.11 every Fraction
+    operator builds its result there too; `_from_coprime` does not call it.
+    """
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        run()
+    return len(built)
+
+
+MINUS_MAP = RiccatiParams(Fraction(7, 3), Fraction(5, 2), MINUS)
+GOLDEN_SEED = PeriodicSeed(1, RatioParams(1, 1), (0,), ((Fraction(1), Fraction(1)),))
+NEVER = Fraction(1, 10**400)  # no golden ratio is this close by n = 500, so every step compares
+
+PER_STEP_RUNS = {
+    "iterate_orbit": lambda n: len(iterate_orbit(MINUS_MAP, Fraction(1, 2), n).trajectory) == n + 1,
+    "closed_form_trajectory": lambda n: len(closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n + 1,
+    "forbidden_set": lambda n: len(forbidden_set(RiccatiParams(Fraction(7, 3), Fraction(5, 2)), n)) == n,
+    "verify_convergence": lambda n: verify_convergence(GOLDEN_SEED, NEVER, horizon=n)[0].first_step is None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_STEP_RUNS))
+def test_ratio_streams_build_no_fraction_per_step(monkeypatch, name):
+    """The Fraction count is the same at n = 50 and n = 500: no step builds one through the gcd."""
+    run = PER_STEP_RUNS[name]
+    assert run(50) and run(500)
+    counts = [_fractions_built(monkeypatch, lambda: run(n)) for n in (50, 500)]
+    assert counts[0] == counts[1]
+
+
+def test_ratio_trace_builds_no_fraction_per_ratio(monkeypatch):
+    """ratio_trace's ratios, with its window of values (which does reduce each term) computed beforehand."""
+    seed = PeriodicSeed(1, RatioParams(Fraction(3, 2), Fraction(2, 5), ODD), (0,), ((Fraction(1, 4), Fraction(5, 6)),))
+    counts = []
+    for n in (50, 500):
+        values = terms(-Fraction(3, 2), Fraction(2, 5), Fraction(1, 4), Fraction(5, 6), -n, n + 1)
+        monkeypatch.setattr(fibfunc, "terms", lambda *args: list(values))
+        counts.append(_fractions_built(monkeypatch, lambda: ratio_trace(seed, 0, -n, n)))
+        assert len(ratio_trace(seed, 0, -n, n).ratios) == 2 * n + 1
     assert counts[0] == counts[1]
