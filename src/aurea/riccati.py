@@ -16,7 +16,8 @@ Every stream here is a run of ratios of a two-term linear recurrence, and
 none runs a gcd of two big ints per step.  `iterate_orbit` steps x = a/b as a
 coprime int pair through the map's 2x2 matrix, whose common factors divide
 its small determinant; the closed form and the forbidden set scale the
-kernel's reduced `ratios` by q, with gcds against q's small parts; and
+kernel's reduced `ratios` by q, where `Fraction`'s own arithmetic reduces
+only by gcds against q's small parts; and
 `substitution_check` reads x(k) = t(k)/t(k+1) off the same stream and
 decides its closed-form identity by cross-multiplying ints.
 
@@ -180,12 +181,8 @@ def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: i
     s_ratios, depth = _s_ratios(params, x0, n)
     if depth is not None:
         raise DomainError(f"initial value {x0} is forbidden at depth {depth}")
-    qn, qd = params.sign * params.q.numerator, params.q.denominator
-    values = [x0]
-    for ratio in s_ratios:  # x(k) = sign*q / ratio, reduced by gcds with q's small parts
-        g, h = gcd(qn, ratio.numerator), gcd(qd, ratio.denominator)
-        values.append(_from_coprime(qn // g * (ratio.denominator // h), qd // h * (ratio.numerator // g)))
-    return values
+    q = params.sign * params.q
+    return [x0] + [q / ratio for ratio in s_ratios]
 
 
 def closed_form_term(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Fraction:
@@ -211,7 +208,7 @@ def forbidden_set(params: RiccatiParams, depth: int) -> list[Fraction]:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     u_ratios, _ = _s_ratios(params, Fraction(0), depth)  # x0 = 0 makes s(k) = u(k+1) > 0
-    return [_from_coprime(-params.sign * ratio.numerator, ratio.denominator) for ratio in u_ratios]
+    return [-ratio for ratio in u_ratios] if params.branch == PLUS else u_ratios
 
 
 def classify_initial(

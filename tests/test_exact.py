@@ -49,6 +49,8 @@ def test_from_coprime_is_the_fraction_the_constructor_builds():
             if n:
                 assert other / built == other / ref
 
+
+def test_parse_format_round_trip():
     for text in ["-3/2", "7/1", "0/1", "355/113"]:
         assert format_rational(parse_rational(text)) == text
     assert parse_rational("5") == 5

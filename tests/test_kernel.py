@@ -437,17 +437,21 @@ def test_nesting_check_builds_no_surd_per_step(monkeypatch):
 
 
 def _fractions_built(monkeypatch, run):
-    """Number of Fraction.__new__ calls during run().
+    """Number of Fraction.__new__ calls during run() that reduce their result.
 
-    Fraction(n, d) runs gcd(n, d) there, and on 3.10 and 3.11 every Fraction
-    operator builds its result there too; `_from_coprime` does not call it.
+    Fraction(n, d) and Fraction(text) run a gcd there.  Calls that run none
+    are not counted: on 3.10 and 3.11 Fraction's operators build their
+    already reduced results with _normalize=False, and on 3.12 and later an
+    int operand is first converted by Fraction(k).  `_from_coprime` does not
+    call __new__ at all.
     """
     built = []
     new = Fraction.__new__
 
-    def counting(cls, *args, **kwargs):
-        built.append(1)
-        return new(cls, *args, **kwargs)
+    def counting(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(numerator, str) or denominator is not None and kwargs.get("_normalize", True):
+            built.append(1)
+        return new(cls, numerator, denominator, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(Fraction, "__new__", counting)
