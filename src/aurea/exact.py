@@ -3,14 +3,14 @@
 Rationals are plain `fractions.Fraction` values (always stored fully reduced
 with a positive denominator); this module adds the canonical "num/den" wire
 format plus exact arithmetic, sign evaluation and decimal rendering for
-elements a + b*sqrt(d) of a real quadratic field.
+elements a + b*sqrt(d) of a real quadratic field.  Orderings and `abs_lt`/`abs_le`
+build no surd, and a power is one walk of the `horadam` kernel (see `__pow__`).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
 from math import isqrt, lcm, sqrt
 
 __all__ = [
@@ -116,10 +116,6 @@ def sqrt_decomposition(value: Fraction | int) -> tuple[Fraction, int]:
     return Fraction(s, value.denominator), d
 
 
-def _sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
-
-
 def _int_sign(p: int, q: int, d: int) -> int:
     """Exact sign of p + q*sqrt(d) for ints p, q, with sqrt(d) irrational unless q == 0."""
     if q == 0:
@@ -132,7 +128,6 @@ def _int_sign(p: int, q: int, d: int) -> int:
     return -sign_q if p * p > q * q * d else sign_q
 
 
-@total_ordering
 class QuadraticSurd:
     """Exact element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
@@ -191,18 +186,22 @@ class QuadraticSurd:
         """Exact sign, decided in integers without floating point."""
         return self._sign_minus(0)
 
-    def _sign_minus(self, x: Fraction | int) -> int:
-        """Exact sign of self - x for a rational x, with no Fraction product and no surd built.
+    def _sign_minus(self, other: object) -> int | None:
+        """Exact sign of self - other, decided in integers with no surd built; None for a type it cannot order.
 
-        (a - x) + b*sqrt(d) times the positive a_den*x_den*b_den is
-        (a_num*x_den - x_num*a_den)*b_den + b_num*a_den*x_den*sqrt(d).
+        For a rational x, (a - x) + b*sqrt(d) times the positive a_den*x_den*b_den is
+        (a_num*x_den - x_num*a_den)*b_den + b_num*a_den*x_den*sqrt(d); for a surd, (a, b)
+        is the difference of the parts, in the field both share.
         """
-        a, b, xd = self._a, self._b, x.denominator
-        return _int_sign(
-            (a.numerator * xd - x.numerator * a.denominator) * b.denominator,
-            b.numerator * a.denominator * xd,
-            self._d,
-        )
+        if isinstance(other, QuadraticSurd):
+            d = self._common_radicand(other)
+            a, b = self._a - other._a, self._b - other._b
+            return _int_sign(a.numerator * b.denominator, b.numerator * a.denominator, d)
+        if not isinstance(other, (int, Fraction)):
+            return None
+        a, b, xd = self._a, self._b, other.denominator
+        p = (a.numerator * xd - other.numerator * a.denominator) * b.denominator
+        return _int_sign(p, b.numerator * a.denominator * xd, self._d)
 
     def _coerce(self, other: object) -> QuadraticSurd | None:
         if isinstance(other, QuadraticSurd):
@@ -212,13 +211,9 @@ class QuadraticSurd:
         return None
 
     def _common_radicand(self, other: QuadraticSurd) -> int:
-        if self._b == 0:
-            return other._d
-        if other._b == 0:
-            return self._d
-        if self._d != other._d:
+        if self._b != 0 and other._b != 0 and self._d != other._d:
             raise DomainError(f"incompatible radicands {self._d} and {other._d}")
-        return self._d
+        return other._d if self._b == 0 else self._d
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -235,11 +230,20 @@ class QuadraticSurd:
         return hash((self._a, self._b, self._d))
 
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._sign_minus(other) < 0
-        if not isinstance(other, QuadraticSurd):
-            return NotImplemented
-        return (self - other).sign() < 0
+        sign = self._sign_minus(other)
+        return NotImplemented if sign is None else sign < 0
+
+    def __le__(self, other: object) -> bool:
+        sign = self._sign_minus(other)
+        return NotImplemented if sign is None else sign <= 0
+
+    def __gt__(self, other: object) -> bool:
+        sign = self._sign_minus(other)
+        return NotImplemented if sign is None else sign > 0
+
+    def __ge__(self, other: object) -> bool:
+        sign = self._sign_minus(other)
+        return NotImplemented if sign is None else sign >= 0
 
     def __neg__(self) -> QuadraticSurd:
         return QuadraticSurd(-self._a, -self._b, self._d)
@@ -302,19 +306,15 @@ class QuadraticSurd:
         return rhs / self
 
     def __pow__(self, exponent: int) -> QuadraticSurd:
+        """x**n = U(n)*x - N*U(n-1) with N the norm and U(0), U(1) = 0, 1, U(k+2) = 2a*U(k+1) - N*U(k)."""
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self._inverse() ** (-exponent)
-        result = QuadraticSurd(1, 0, self._d)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        n = self.norm()
+        if n == 0:  # x = 0; a negative power raises ZeroDivisionError
+            return self._inverse() if exponent < 0 else QuadraticSurd(1 if exponent == 0 else 0)
+        from .horadam import walk  # deferred: horadam imports this module
+        u_prev, u = walk(2 * self._a, -n, 0, 1, exponent - 1)
+        return QuadraticSurd(u * self._a - n * u_prev, u * self._b, self._d)
 
     def __float__(self) -> float:
         return float(self._a) + float(self._b) * sqrt(self._d)
@@ -333,25 +333,24 @@ def surd_sign(value: QuadraticSurd | Fraction | int) -> int:
     """Exact sign in {-1, 0, 1} of a rational or quadratic surd."""
     if isinstance(value, QuadraticSurd):
         return value.sign()
-    return _sign(as_rational(value))
+    value = as_rational(value)
+    return (value > 0) - (value < 0)
 
 
-def _as_surd(value: QuadraticSurd | Fraction | int) -> QuadraticSurd:
-    if isinstance(value, QuadraticSurd):
-        return value
-    return QuadraticSurd(as_rational(value))
+def _as_exact(value: QuadraticSurd | Fraction | int | str) -> QuadraticSurd | Fraction:
+    return value if isinstance(value, QuadraticSurd) else as_rational(value)
 
 
 def abs_lt(value: QuadraticSurd | Fraction | int, bound: QuadraticSurd | Fraction | int) -> bool:
-    """Exact |value| < bound."""
-    v, hi = _as_surd(value), _as_surd(bound)
-    return (hi - v).sign() > 0 and (hi + v).sign() > 0
+    """Exact |value| < bound, as -bound < value < bound."""
+    v, hi = _as_exact(value), _as_exact(bound)
+    return -hi < v < hi
 
 
 def abs_le(value: QuadraticSurd | Fraction | int, bound: QuadraticSurd | Fraction | int) -> bool:
-    """Exact |value| <= bound."""
-    v, hi = _as_surd(value), _as_surd(bound)
-    return (hi - v).sign() >= 0 and (hi + v).sign() >= 0
+    """Exact |value| <= bound, as -bound <= value <= bound."""
+    v, hi = _as_exact(value), _as_exact(bound)
+    return -hi <= v <= hi
 
 
 def quadratic_roots(p: Fraction | int | str, q: Fraction | int | str) -> tuple[QuadraticSurd, QuadraticSurd]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, as_rational, format_rational
+from .exact import DomainError, QuadraticSurd, as_rational, format_rational
 from .horadam import _inverse_ratios, ratios, terms
 from .limits import ODD, STANDARD, ConvergenceCertificate, RatioParams, certificate, dominant_root
 
@@ -185,7 +185,7 @@ def verify_convergence(
 
 
 def golden_power_trace(n_min: int, n_max: int) -> list[QuadraticSurd]:
-    """Powers φ**n for n_min <= n <= n_max, exact in Q(sqrt(5)).
+    """Powers φ**n = F(n)*φ + F(n-1) for n_min <= n <= n_max, exact in Q(sqrt(5)), off one Fibonacci window.
 
     φ**2 = φ + 1, so this trace satisfies the standard period equation with
     consecutive ratio exactly φ at every lattice point; it is the exponential
@@ -194,7 +194,8 @@ def golden_power_trace(n_min: int, n_max: int) -> list[QuadraticSurd]:
     """
     if n_min > n_max:
         raise ValueError("empty range")
-    return [GOLDEN_RATIO**n for n in range(n_min, n_max + 1)]
+    fib = terms(1, 1, 0, 1, n_min - 1, n_max)
+    return [QuadraticSurd(f / 2 + f_prev, f / 2, 5) for f_prev, f in zip(fib, fib[1:])]
 
 
 def parse_seed(text: str) -> PeriodicSeed:

@@ -10,6 +10,11 @@ The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
 checked the same way, and a count of `Fraction.__new__` calls that must not
 grow with n keeps a per-step gcd from coming back.
+
+`QuadraticSurd.__pow__` and `golden_power_trace` read their powers off the
+same kernel; they are checked against repeated multiplication, and a count
+of `QuadraticSurd` constructions keeps the orderings, `abs_lt`/`abs_le` and
+powers from building intermediate surds.
 """
 
 from fractions import Fraction
@@ -19,9 +24,9 @@ from math import gcd
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from aurea.exact import GOLDEN_RATIO, QuadraticSurd, abs_lt  # noqa: E402
+from aurea.exact import GOLDEN_RATIO, QuadraticSurd, abs_le, abs_lt  # noqa: E402
 from aurea import fibfunc, riccati  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, ratio_trace, verify_convergence  # noqa: E402
 from aurea.horadam import RecurrenceParams, fast_term, horadam_term, lucas_window, ratios, terms, walk  # noqa: E402
@@ -434,6 +439,77 @@ def test_verify_convergence_builds_no_surd_per_step(monkeypatch):
 def test_nesting_check_builds_no_surd_per_step(monkeypatch):
     counts = [_surds_built(monkeypatch, lambda: nesting_check(n)) for n in (50, 500)]
     assert counts[0] == counts[1]
+
+
+PSI = QuadraticSurd(Fraction(2, 3), Fraction(-1, 7), 5)
+NO_SURD_RUNS = {
+    "surd < surd": lambda: PSI < GOLDEN_RATIO,
+    "surd <= surd": lambda: GOLDEN_RATIO <= PSI,
+    "surd > surd": lambda: GOLDEN_RATIO > PSI,
+    "surd >= surd": lambda: PSI >= GOLDEN_RATIO,
+    "Fraction < surd": lambda: Fraction(13, 8) < GOLDEN_RATIO,
+    "Fraction <= surd": lambda: Fraction(13, 8) <= GOLDEN_RATIO,
+    "Fraction > surd": lambda: Fraction(13, 8) > GOLDEN_RATIO,
+    "Fraction >= surd": lambda: Fraction(13, 8) >= GOLDEN_RATIO,
+    "int < surd": lambda: 1 < GOLDEN_RATIO,
+    "int <= surd": lambda: 1 <= GOLDEN_RATIO,
+    "int > surd": lambda: 1 > GOLDEN_RATIO,
+    "int >= surd": lambda: 1 >= GOLDEN_RATIO,
+    "abs_lt": lambda: abs_lt(PSI, Fraction(1, 10**6)),
+    "abs_le": lambda: abs_le(PSI, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_SURD_RUNS))
+def test_orderings_and_abs_bounds_build_no_surd(monkeypatch, name):
+    assert _surds_built(monkeypatch, NO_SURD_RUNS[name]) == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_power_builds_as_many_surds_at_any_exponent(monkeypatch, sign):
+    counts = [_surds_built(monkeypatch, lambda: PSI ** (sign * n)) for n in (10, 1000)]
+    assert counts[0] == counts[1]
+
+
+def _power_by_multiplication(x: QuadraticSurd, n: int) -> QuadraticSurd:
+    """x**n as |n| products by x, or by x._inverse() for negative n."""
+    step, power = (x if n >= 0 else x._inverse()), QuadraticSurd(1)
+    for _ in range(abs(n)):
+        power = power * step
+    return power
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=rationals, b=rationals, d=st.integers(1, 30), n=st.integers(-40, 40))
+@example(a=Fraction(-3, 2), b=Fraction(0), d=7, n=9)  # rational: x**2 = 2a*x - a*a, a double root
+@example(a=Fraction(2), b=Fraction(1, 3), d=9, n=-7)  # d square: the rational 3
+@example(a=Fraction(1, 2), b=Fraction(1, 2), d=5, n=-40)
+@example(a=Fraction(5, 4), b=Fraction(-2, 3), d=12, n=1)
+def test_surd_power_matches_repeated_multiplication(a, b, d, n):
+    x = QuadraticSurd(a, b, d)
+    assume(x != 0)
+    assert x**n == _power_by_multiplication(x, n)
+
+
+def test_zero_bool_and_non_int_exponents():
+    zero = QuadraticSurd(0, 0, 5)
+    assert zero**0 == 1 and zero**3 == 0 and (zero**3).is_rational
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+    assert GOLDEN_RATIO**True == GOLDEN_RATIO and GOLDEN_RATIO**False == 1
+    for exponent in (Fraction(1, 2), 2.0):
+        with pytest.raises(TypeError):
+            GOLDEN_RATIO**exponent
+
+
+def test_golden_power_trace_matches_multiplication_by_phi():
+    power = _power_by_multiplication(GOLDEN_RATIO, -60)
+    expected = []
+    for _ in range(121):
+        expected.append(power)
+        power = power * GOLDEN_RATIO
+    assert fibfunc.golden_power_trace(-60, 60) == expected
+    assert fibfunc.golden_power_trace(7, 7) == [13 * GOLDEN_RATIO + 8]
 
 
 def _fractions_built(monkeypatch, run):

@@ -1,13 +1,16 @@
-"""Ordering and equality of a quadratic surd against a rational, with sympy as the oracle.
+"""Ordering and equality of a quadratic surd against a rational or another surd, with sympy as the oracle.
 
 A surd a + b*sqrt(d) compared with an int or Fraction x is decided from the
-sign of (a - x) + b*sqrt(d) on cross-multiplied integers.  The hardest
+sign of (a - x) + b*sqrt(d) on cross-multiplied integers, and compared with
+a surd of the same field from the differences of the parts.  The hardest
 inputs are near-ties: x = a + b*p/q with p/q a continued-fraction convergent
-of sqrt(d), whose distance from the surd shrinks like 1/q**2.  sympy decides
+of sqrt(d), whose distance from the surd shrinks like 1/q**2, or a second
+surd a2 + b2*sqrt(d) with a2 = a1 + (b1 - b2)*p/q.  sympy decides
 each sign on its own, exactly for a rational value and by `evalf(strict=True)`
 otherwise, which raises rather than return a digit it cannot certify.
 """
 
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -17,7 +20,7 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from aurea.exact import QuadraticSurd  # noqa: E402
+from aurea.exact import DomainError, QuadraticSurd  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -69,7 +72,17 @@ def surd_and_rational(draw):
     return a, b, d, draw(rationals_near(a, b, d))
 
 
-def _checks(surd: QuadraticSurd, x: Fraction | int, expected: int) -> None:
+@st.composite
+def surd_pairs(draw):
+    """(a1, b1, a2, b2, d): a2 drawn freely or the near-tie a1 + (b1 - b2)*p/q, p/q a convergent of sqrt(d)."""
+    a1, b1, b2, d = draw(parts), draw(parts), draw(parts), draw(radicands)
+    if draw(st.booleans()):
+        return a1, b1, draw(parts), b2, d
+    steps = convergents(d)
+    return a1, b1, a1 + (b1 - b2) * steps[draw(st.integers(0, len(steps) - 1))], b2, d
+
+
+def _checks(surd: QuadraticSurd, x: Fraction | int | QuadraticSurd, expected: int) -> None:
     assert surd.sign() == sympy_sign(surd.a, surd.b, surd.d, 0)
     assert (surd < x, surd <= x, surd > x, surd >= x) == (expected < 0, expected <= 0, expected > 0, expected >= 0)
     assert (surd == x, surd != x) == (expected == 0, expected != 0)
@@ -103,3 +116,37 @@ def test_a_rational_valued_surd_equals_and_hashes_like_its_value(a, b, d, zero_b
     if value.denominator == 1:
         assert surd == int(value) and int(value) == surd and hash(surd) == hash(int(value))
     assert surd != value + Fraction(1, 10**40) and surd < value + Fraction(1, 10**40)
+
+
+@PROPERTY
+@given(case=surd_pairs())
+@example(case=(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2) + Fraction(3, 2) * convergents(5)[-1], Fraction(-1), 5))
+@example(case=(Fraction(-7, 3), Fraction(5, 11), Fraction(-7, 3) - Fraction(2, 11) * convergents(50)[-2], Fraction(7, 11), 50))
+@example(case=(Fraction(3), Fraction(-2), Fraction(1, 4), Fraction(-2), 12))  # equal b: the difference is rational
+@example(case=(Fraction(5, 2), Fraction(1, 3), Fraction(9, 2), Fraction(0), 36))  # sqrt(36) = 6: a tie, so ==
+@example(case=(Fraction(1), Fraction(2), Fraction(1), Fraction(2), 8))  # the same surd
+def test_surd_comparisons_match_sympy(case):
+    """Two surds of one field: <, <=, >, >=, == and != in both operand orders against sympy's sign of their difference."""
+    a1, b1, a2, b2, d = case
+    _checks(QuadraticSurd(a1, b1, d), QuadraticSurd(a2, b2, d), sympy_sign(a1 - a2, b1 - b2, d, 0))
+
+
+@PROPERTY
+@given(a=parts, b=parts, d=radicands, x=parts, shape=st.sampled_from([(0, 7), (1, 9), (-3, 4), (2, 25)]))
+def test_a_rational_valued_surd_orders_against_any_field(a, b, d, x, shape):
+    """x + c*sqrt(e) with e a square (or c = 0) is rational, so it orders against a surd of any radicand."""
+    c, e = shape
+    rational = QuadraticSurd(x, c, e)
+    assert rational.is_rational
+    _checks(QuadraticSurd(a, b, d), rational, sympy_sign(a, b, d, x + c * isqrt(e)))
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 3), (5, 12), (50, 7)])
+def test_irrational_surds_of_different_fields_do_not_order(d1, d2):
+    """12 = 4*3 and 50 = 25*2 reduce to other square-free radicands than their partner's."""
+    x, y = QuadraticSurd(1, 1, d1), QuadraticSurd(Fraction(-1, 3), 2, d2)
+    for first, second in ((x, y), (y, x)):
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(DomainError):
+                order(first, second)
+        assert not first == second and first != second
