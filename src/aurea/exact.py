@@ -3,8 +3,10 @@
 Rationals are plain `fractions.Fraction` values (always stored fully reduced
 with a positive denominator); this module adds the canonical "num/den" wire
 format plus exact arithmetic, sign evaluation and decimal rendering for
-elements a + b*sqrt(d) of a real quadratic field.  Orderings and `abs_lt`/`abs_le`
-build no surd, and a power is one walk of the `horadam` kernel (see `__pow__`).
+elements a + b*sqrt(d) of a real quadratic field.  Each arithmetic operator
+reads its operands as parts and builds only its result; orderings and
+`abs_lt`/`abs_le` build no surd, and a power is one walk of the `horadam`
+kernel (see `__pow__`).
 """
 
 from __future__ import annotations
@@ -203,11 +205,12 @@ class QuadraticSurd:
         p = (a.numerator * xd - other.numerator * a.denominator) * b.denominator
         return _int_sign(p, b.numerator * a.denominator * xd, self._d)
 
-    def _coerce(self, other: object) -> QuadraticSurd | None:
+    def _parts(self, other: object) -> tuple[Fraction | int, Fraction | int, int] | None:
+        """(a, b, d) of a surd, int or Fraction operand, d the field it shares with self; None for any other type."""
         if isinstance(other, QuadraticSurd):
-            return other
+            return other._a, other._b, self._common_radicand(other)
         if isinstance(other, (int, Fraction)):
-            return QuadraticSurd(other)
+            return other, 0, self._d
         return None
 
     def _common_radicand(self, other: QuadraticSurd) -> int:
@@ -252,66 +255,59 @@ class QuadraticSurd:
         return -self if self.sign() < 0 else self
 
     def __add__(self, other: object) -> QuadraticSurd:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        d = self._common_radicand(rhs)
-        return QuadraticSurd(self._a + rhs._a, self._b + rhs._b, d)
+        a, b, d = parts
+        return QuadraticSurd(self._a + a, self._b + b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> QuadraticSurd:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return self + (-rhs)
+        a, b, d = parts
+        return QuadraticSurd(self._a - a, self._b - b, d)
 
     def __rsub__(self, other: object) -> QuadraticSurd:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return rhs + (-self)
+        a, b, d = parts
+        return QuadraticSurd(a - self._a, b - self._b, d)
 
     def __mul__(self, other: object) -> QuadraticSurd:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        d = self._common_radicand(rhs)
-        return QuadraticSurd(
-            self._a * rhs._a + self._b * rhs._b * d,
-            self._a * rhs._b + self._b * rhs._a,
-            d,
-        )
+        a, b, d = parts
+        return QuadraticSurd(self._a * a + self._b * b * d, self._a * b + self._b * a, d)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> QuadraticSurd:
-        # 1/(a + b*sqrt(d)) = (a - b*sqrt(d))/(a*a - b*b*d)
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero surd")
-        return QuadraticSurd(self._a / n, -self._b / n, self._d)
-
     def __truediv__(self, other: object) -> QuadraticSurd:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        self._common_radicand(rhs)  # reject incompatible radicands up front
-        return self * rhs._inverse()
+        return _quotient(self._a, self._b, *parts)
 
     def __rtruediv__(self, other: object) -> QuadraticSurd:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return rhs / self
+        a, b, d = parts
+        return _quotient(a, b, self._a, self._b, d)
 
     def __pow__(self, exponent: int) -> QuadraticSurd:
         """x**n = U(n)*x - N*U(n-1) with N the norm and U(0), U(1) = 0, 1, U(k+2) = 2a*U(k+1) - N*U(k)."""
         if not isinstance(exponent, int):
             return NotImplemented
         n = self.norm()
-        if n == 0:  # x = 0; a negative power raises ZeroDivisionError
-            return self._inverse() if exponent < 0 else QuadraticSurd(1 if exponent == 0 else 0)
+        if n == 0:  # x = 0
+            if exponent < 0:
+                raise ZeroDivisionError("division by zero surd")
+            return QuadraticSurd(1 if exponent == 0 else 0)
         from .horadam import walk  # deferred: horadam imports this module
         u_prev, u = walk(2 * self._a, -n, 0, 1, exponent - 1)
         return QuadraticSurd(u * self._a - n * u_prev, u * self._b, self._d)
@@ -327,6 +323,17 @@ class QuadraticSurd:
             return str(self._a)
         op = "+" if self._b > 0 else "-"
         return f"{self._a} {op} {abs(self._b)}*sqrt({self._d})"
+
+
+def _quotient(a, b, c, e, d: int) -> QuadraticSurd:
+    """(a + b*sqrt(d))/(c + e*sqrt(d)) = ((a*c - b*e*d) + (b*c - a*e)*sqrt(d))/(c*c - e*e*d), one surd built.
+
+    One of a, c is a Fraction, so no quotient here is a float.
+    """
+    n = c * c - e * e * d
+    if n == 0:
+        raise ZeroDivisionError("division by zero surd")
+    return QuadraticSurd((a * c - b * e * d) / n, (b * c - a * e) / n, d)
 
 
 def surd_sign(value: QuadraticSurd | Fraction | int) -> int:

@@ -27,26 +27,27 @@ is an integer recurrence, so each returned term costs one reduction at the
 end instead of a gcd-reduced Fraction at every step.  `terms` reaches its
 start by powering the companion matrix [[A*D, B*D**2], [1, 0]], O(log|lo|)
 products, and steps one term at a time only through the window; `ratios`
-steps the same cleared integers from index 0 without end.  A negative
+steps the cleared coefficients from index 0 without end.  A negative
 index is the forward run of the reversed recurrence v(j) = u(-j), with
 coefficients (-A/B, 1/B) and seeds (u(0), u(-1)), so one integer path
 serves both directions.
 
-A ratio needs no gcd of two big ints.  `ratios` keeps the pair (w(k),
-w(k+1)) coprime: a step multiplies it by the companion matrix, whose
-determinant is -Q, so the next pair's common factor divides the small int
-Q, and a coprime pair's ratio w(k+1)/(D*w(k)) reduces by gcd(D, w(k+1)).
-Each gcd has one small operand and costs one pass over the big one, and
-`exact._from_coprime` builds the reduced Fraction without a second gcd.  A
-window term w(k)/(E*D**k) has no such small bound on its common factor, so
-`terms` reduces each with a full gcd.
+A ratio needs no gcd of two big ints.  `_pairs` steps a coprime int pair
+through an integer 2x2 matrix; a coprime pair's image can only share
+factors of the small determinant, so each step reduces by one gcd against
+it.  `ratios` is the pair orbit of rho -> A + B/rho, the Riccati orbit in
+`riccati` is another, and `exact._from_coprime` builds each reduced
+Fraction without a second gcd.  A window term w(k)/(E*D**k) has no such
+small bound on its common factor, so `terms` reduces each with a full gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterator
 
 from .exact import DomainError, _from_coprime, as_rational
@@ -158,38 +159,38 @@ def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
     return values
 
 
-def ratios(A, B, a, b) -> Iterator[Fraction | None]:
-    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0; each is w(k+1)/(D*w(k)) on the cleared ints.
+def _pairs(m00: int, m01: int, m10: int, m11: int, x: int, y: int) -> Iterator[tuple[int, int]]:
+    """(x, y) made coprime, then its images under [[m00, m01], [m10, m11]], each made coprime.
 
-    (x, y) = (w(k), w(k+1)) is kept coprime, so every gcd here has one small
-    operand: Q, which holds a step's common factor, or D.
+    The image of a coprime pair shares only factors of the determinant, so
+    every gcd after the first has that small int as one operand.
     """
-    P, Q, x, y, _, D = clear(A, B, a, b)
     g = gcd(x, y)
     if g > 1:
         x, y = x // g, y // g
-    Q_abs = abs(Q)
+    det = abs(m00 * m11 - m01 * m10)
     while True:
-        if x:
-            g = gcd(D, y)
-            yield _from_coprime(y // g, D // g * x)
-        else:
-            yield None
-        x, y = y, P * y + Q * x
-        g = gcd(Q_abs, x, y)
+        yield x, y
+        x, y = m00 * x + m01 * y, m10 * x + m11 * y
+        g = gcd(det, x, y)
         if g > 1:
             x, y = x // g, y // g
 
 
-def _inverse_ratios(A, B, a, b) -> Iterator[Fraction]:
-    """u(k)/u(k+1) for k = 0, 1, 2, ..., 0 where u(k) = 0, ending before the first u(k+1) = 0.
+def _ratio_pairs(A, B, a, b) -> Iterator[tuple[int, int]]:
+    """Coprime (x, y) with x/y = u(k+1)/u(k): the orbit of rho -> A + B/rho, cleared by D, from u(1)/u(0)."""
+    P, Q, w0, w1, _, D = clear(A, B, a, b)
+    return _pairs(P, Q // D, D, 0, w1, D * w0)
 
-    Each value is a `ratios` value turned over, already reduced.
-    """
-    for ratio in ratios(A, B, a, b):
-        if ratio == 0:
-            return
-        yield _from_coprime(0, 1) if ratio is None else _from_coprime(ratio.denominator, ratio.numerator)
+
+def ratios(A, B, a, b) -> Iterator[Fraction | None]:
+    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0."""
+    return (_from_coprime(x, y) if y else None for x, y in _ratio_pairs(A, B, a, b))
+
+
+def _inverse_ratios(A, B, a, b) -> Iterator[Fraction]:
+    """u(k)/u(k+1) for k = 0, 1, 2, ..., 0 where u(k) = 0, ending before the first u(k+1) = 0."""
+    return (_from_coprime(y, x) for x, y in takewhile(itemgetter(0), _ratio_pairs(A, B, a, b)))
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:

@@ -12,14 +12,10 @@ An initial value's fate is decided by its orbit alone: `iterate_orbit` is the
 one stepper, and `classify_initial` reads its classification, so x0 is
 forbidden at depth m exactly when the orbit meets the pole at step m.
 
-Every stream here is a run of ratios of a two-term linear recurrence, and
-none runs a gcd of two big ints per step.  `iterate_orbit` steps x = a/b as a
-coprime int pair through the map's 2x2 matrix, whose common factors divide
-its small determinant; the closed form and the forbidden set scale the
-kernel's reduced `ratios` by q, where `Fraction`'s own arithmetic reduces
-only by gcds against q's small parts; and
-`substitution_check` reads x(k) = t(k)/t(k+1) off the same stream and
-decides its closed-form identity by cross-multiplying ints.
+Every stream here is read off `horadam._pairs`, the one coprime pair
+stepper: `iterate_orbit` through the map's own 2x2 matrix, the closed form,
+the forbidden set and `substitution_check` through the kernel's ratio
+streams.  No step runs a gcd of two big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -31,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import gcd
+from operator import itemgetter
 
 from .exact import DomainError, QuadraticSurd, _from_coprime, as_rational, quadratic_roots
-from .horadam import _inverse_ratios, lucas_window, ratios, terms
+from .horadam import _inverse_ratios, _pairs, lucas_window, ratios, terms
 
 __all__ = [
     "MINUS",
@@ -133,25 +129,11 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
-    trajectory = [x0]
-    pole_step = None
-    # x = a/b steps as (a, b) -> (qn*sd*b, qd*(sd*a + sn*b)) with q = qn/qd and
-    # sign*p = sn/sd, a zero b' at the pole; the step's determinant is
-    # -qn*qd*sd**2, so that small int holds every common factor of a coprime
-    # pair's image
     qn, qd = params.q.numerator, params.q.denominator
     sn, sd = params._shift.numerator, params._shift.denominator
-    top, det = qn * sd, qn * qd * sd * sd
-    a, b = x0.numerator, x0.denominator
-    for step in range(1, n + 1):
-        a, b = top * b, qd * (sd * a + sn * b)
-        if not b:
-            pole_step = step
-            break
-        g = gcd(det, a, b)
-        if g > 1:
-            a, b = a // g, b // g
-        trajectory.append(_from_coprime(a, b))
+    pairs = _pairs(0, qn * sd, qd * sd, qd * sn, x0.numerator, x0.denominator)
+    trajectory = [_from_coprime(a, b) for a, b in takewhile(itemgetter(1), islice(pairs, n + 1))]
+    pole_step = len(trajectory) if len(trajectory) <= n else None  # b = 0 at the pole
     if pole_step is not None:
         classification = Classification("forbidden", pole_step)
     elif params.denominator_at(x0) == 0:

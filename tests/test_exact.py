@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -136,6 +137,39 @@ def test_surd_division_and_inverse():
     assert (1 / a) * a == 1
     with pytest.raises(ZeroDivisionError):
         a / QuadraticSurd(0, 0, 5)
+
+
+def test_surd_operators_match_sympy():
+    """+, -, * and / of a surd with a surd, an int or a Fraction, on either side, against sympy's exact value."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2016)
+
+    def fraction():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+
+    def exact(value):
+        if isinstance(value, QuadraticSurd):
+            return sympy.Rational(str(value.a)) + sympy.Rational(str(value.b)) * sympy.sqrt(value.d)
+        return sympy.Rational(str(value))
+
+    for _ in range(60):
+        d = rng.choice([1, 2, 3, 5, 8, 12, 1000003])
+        x = QuadraticSurd(fraction(), fraction(), d)
+        y = rng.choice([QuadraticSurd(fraction(), fraction(), d), QuadraticSurd(fraction()), rng.randint(-3, 3), fraction()])
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for left, right in ((x, y), (y, x)):
+                if op is operator.truediv and exact(right) == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        op(left, right)
+                    continue
+                got = op(left, right)
+                assert isinstance(got, QuadraticSurd)
+                assert sympy.expand(sympy.radsimp(exact(got) - op(exact(left), exact(right)))) == 0, (op, left, right)
+    for op in (operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(DomainError):
+            op(QuadraticSurd(1, 1, 2), QuadraticSurd(1, 1, 3))
+    with pytest.raises(ZeroDivisionError):
+        1 / QuadraticSurd(0, 0, 7)
 
 
 def test_surd_pow():

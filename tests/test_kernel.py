@@ -9,12 +9,14 @@ whose denominators differ from each other and from the coefficients'.
 The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
 checked the same way, and a count of `Fraction.__new__` calls that must not
-grow with n keeps a per-step gcd from coming back.
+grow with n keeps a per-step gcd from coming back; a count of horadam's own
+gcd calls holds every pair step to one.
 
 `QuadraticSurd.__pow__` and `golden_power_trace` read their powers off the
 same kernel; they are checked against repeated multiplication, and a count
 of `QuadraticSurd` constructions keeps the orderings, `abs_lt`/`abs_le` and
-powers from building intermediate surds.
+powers from building intermediate surds, and a count of radicand splits
+holds each arithmetic operator to the one surd it returns.
 """
 
 from fractions import Fraction
@@ -27,9 +29,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from aurea.exact import GOLDEN_RATIO, QuadraticSurd, abs_le, abs_lt  # noqa: E402
-from aurea import fibfunc, riccati  # noqa: E402
+from aurea import exact, fibfunc, horadam, riccati  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, ratio_trace, verify_convergence  # noqa: E402
-from aurea.horadam import RecurrenceParams, fast_term, horadam_term, lucas_window, ratios, terms, walk  # noqa: E402
+from aurea.horadam import (  # noqa: E402
+    RecurrenceParams,
+    _inverse_ratios,
+    fast_term,
+    horadam_term,
+    lucas_window,
+    ratios,
+    terms,
+    walk,
+)
 from aurea.limits import ODD, STANDARD, RatioParams, cf_convergent, nesting_check, ratio_orbit  # noqa: E402
 from aurea.riccati import (  # noqa: E402
     MINUS,
@@ -123,6 +134,36 @@ def test_ratios_match_the_fraction_stepper(A, B, a, b, scale, count):
     got = list(islice(ratios(A, B, a, b), count + 1))
     assert got == expected
     assert all(ratio is None or _canonical(ratio) for ratio in got)
+
+
+@PROPERTY
+@given(
+    A=rationals,
+    B=nonzero | squared,
+    a=rationals,
+    b=rationals,
+    scale=st.integers(-36, 36).filter(bool),
+    count=st.integers(0, 120),
+)
+@example(A=Fraction(2, 3), B=Fraction(-5, 9), a=Fraction(0), b=Fraction(1, 4), scale=1, count=40)
+@example(A=Fraction(1), B=Fraction(-1), a=Fraction(1), b=Fraction(1), scale=1, count=12)  # u(2) = 0, period 6
+@example(A=Fraction(2), B=Fraction(-4), a=Fraction(1), b=Fraction(2), scale=6, count=30)  # u(2) = 0, Q = -4
+@example(A=Fraction(3), B=Fraction(-12), a=Fraction(-1), b=Fraction(5, 3), scale=-18, count=80)
+@example(A=Fraction(0), B=Fraction(9, 4), a=Fraction(0), b=Fraction(1), scale=12, count=20)  # every even u(k) = 0
+@example(A=Fraction(0), B=Fraction(9, 4), a=Fraction(1), b=Fraction(0), scale=-4, count=20)  # every odd u(k) = 0
+@example(A=Fraction(5, 2), B=Fraction(-3), a=Fraction(0), b=Fraction(0), scale=1, count=20)  # all zero: ends at once
+def test_inverse_ratios_match_the_fraction_stepper(A, B, a, b, scale, count):
+    """u(k)/u(k+1) for k = 0 .. count, 0 where u(k) = 0, ending before the first u(k+1) = 0."""
+    a, b = scale * a, scale * b
+    ref = reference(A, B, a, b, 0, count)
+    expected = []
+    for k in range(count + 1):
+        if ref[k + 1] == 0:
+            break
+        expected.append(ref[k] / ref[k + 1])
+    got = list(islice(_inverse_ratios(A, B, a, b), count + 1))
+    assert got == expected
+    assert all(_canonical(ratio) for ratio in got)
 
 
 def _orbit_reference(p, q, sign, x0, n):
@@ -441,6 +482,36 @@ def test_nesting_check_builds_no_surd_per_step(monkeypatch):
     assert counts[0] == counts[1]
 
 
+R = QuadraticSurd(Fraction(3, 2), Fraction(-2, 5), 1000003)
+S = QuadraticSurd(Fraction(1, 7), Fraction(4, 3), 1000003)
+ONE_SURD_RUNS = {
+    "r + s": lambda: R + S,
+    "r + 2": lambda: R + 2,
+    "r - s": lambda: R - S,
+    "2 - r": lambda: 2 - R,
+    "r - 2": lambda: R - 2,
+    "r * s": lambda: R * S,
+    "3 * r": lambda: 3 * R,
+    "r / s": lambda: R / S,
+    "1 / r": lambda: 1 / R,
+    "r / 2": lambda: R / 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SURD_RUNS))
+def test_each_surd_operator_splits_one_radicand(monkeypatch, name):
+    """An operator reads an int, Fraction or surd operand as its parts and builds only its result."""
+    split, calls = exact._square_split, []
+
+    def counting(n):
+        calls.append(n)
+        return split(n)
+
+    monkeypatch.setattr(exact, "_square_split", counting)
+    ONE_SURD_RUNS[name]()
+    assert len(calls) == 1
+
+
 PSI = QuadraticSurd(Fraction(2, 3), Fraction(-1, 7), 5)
 NO_SURD_RUNS = {
     "surd < surd": lambda: PSI < GOLDEN_RATIO,
@@ -472,8 +543,8 @@ def test_a_power_builds_as_many_surds_at_any_exponent(monkeypatch, sign):
 
 
 def _power_by_multiplication(x: QuadraticSurd, n: int) -> QuadraticSurd:
-    """x**n as |n| products by x, or by x._inverse() for negative n."""
-    step, power = (x if n >= 0 else x._inverse()), QuadraticSurd(1)
+    """x**n as |n| products by x, or by 1 / x for negative n."""
+    step, power = (x if n >= 0 else 1 / x), QuadraticSurd(1)
     for _ in range(abs(n)):
         power = power * step
     return power
@@ -566,3 +637,29 @@ def test_ratio_trace_builds_no_fraction_per_ratio(monkeypatch):
         counts.append(_fractions_built(monkeypatch, lambda: ratio_trace(seed, 0, -n, n)))
         assert len(ratio_trace(seed, 0, -n, n).ratios) == 2 * n + 1
     assert counts[0] == counts[1]
+
+
+def _gcds_run(monkeypatch, run):
+    """Number of calls to horadam's gcd during run(); each must have an operand of at most 64 bits."""
+    calls, real = [], horadam.gcd
+
+    def counting(*args):
+        calls.append(min(abs(arg).bit_length() for arg in args))
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(horadam, "gcd", counting)
+        run()
+    assert max(calls, default=0) <= 64
+    return len(calls)
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_one_gcd_per_pair_stepped(monkeypatch, n):
+    """n ratios read n coprime pairs and x0 .. xn read n + 1: one small gcd per pair, the first reducing the start."""
+
+    def stream():
+        return list(islice(ratios(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6)), n))
+
+    assert _gcds_run(monkeypatch, stream) == n
+    assert _gcds_run(monkeypatch, lambda: iterate_orbit(MINUS_MAP, Fraction(1, 2), n)) == n + 1
