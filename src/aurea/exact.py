@@ -191,19 +191,18 @@ class QuadraticSurd:
     def _sign_minus(self, other: object) -> int | None:
         """Exact sign of self - other, decided in integers with no surd built; None for a type it cannot order.
 
-        For a rational x, (a - x) + b*sqrt(d) times the positive a_den*x_den*b_den is
-        (a_num*x_den - x_num*a_den)*b_den + b_num*a_den*x_den*sqrt(d); for a surd, (a, b)
-        is the difference of the parts, in the field both share.
+        With other = c + e*sqrt(d) read by `_parts`, (a - c) + (b - e)*sqrt(d) times the
+        positive a_den*c_den*b_den*e_den is (a_num*c_den - c_num*a_den)*b_den*e_den +
+        (b_num*e_den - e_num*b_den)*a_den*c_den*sqrt(d).
         """
-        if isinstance(other, QuadraticSurd):
-            d = self._common_radicand(other)
-            a, b = self._a - other._a, self._b - other._b
-            return _int_sign(a.numerator * b.denominator, b.numerator * a.denominator, d)
-        if not isinstance(other, (int, Fraction)):
+        parts = self._parts(other)
+        if parts is None:
             return None
-        a, b, xd = self._a, self._b, other.denominator
-        p = (a.numerator * xd - other.numerator * a.denominator) * b.denominator
-        return _int_sign(p, b.numerator * a.denominator * xd, self._d)
+        c, e, d = parts
+        a, b = self._a, self._b
+        ad, bd, cd, ed = a.denominator, b.denominator, c.denominator, e.denominator
+        p = (a.numerator * cd - c.numerator * ad) * bd * ed
+        return _int_sign(p, (b.numerator * ed - e.numerator * bd) * ad * cd, d)
 
     def _parts(self, other: object) -> tuple[Fraction | int, Fraction | int, int] | None:
         """(a, b, d) of a surd, int or Fraction operand, d the field it shares with self; None for any other type."""
@@ -223,8 +222,6 @@ class QuadraticSurd:
             return self._b == 0 and self._a == other
         if not isinstance(other, QuadraticSurd):
             return NotImplemented
-        if self._b == 0 and other._b == 0:
-            return self._a == other._a
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:

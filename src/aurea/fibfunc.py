@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .exact import DomainError, QuadraticSurd, as_rational, format_rational
-from .horadam import _inverse_ratios, ratios, terms
+from .horadam import _orbit, ratios, terms
 from .limits import ODD, STANDARD, ConvergenceCertificate, RatioParams, certificate, dominant_root
 
 __all__ = [
@@ -119,9 +118,8 @@ def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: in
         raise DomainError(f"degenerate all-zero lattice at offset {offset}")
     A, B = seed.kind.plus_form()
     values = terms(A, B, f0, f1, n_min, n_max + 1)
-    count = n_max + 1 - n_min
-    ratio_values = list(islice(_inverse_ratios(A, B, values[0], values[1]), count))
-    undefined_at = n_min + len(ratio_values) if len(ratio_values) < count else None
+    ratio_values, stop = _orbit((0, 1, B, A), values[0], values[1], n_max + 1 - n_min)
+    undefined_at = None if stop is None else n_min + stop
     return LatticeTrace(offset, n_min, tuple(values), tuple(ratio_values), undefined_at)
 
 

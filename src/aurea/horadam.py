@@ -32,20 +32,22 @@ index is the forward run of the reversed recurrence v(j) = u(-j), with
 coefficients (-A/B, 1/B) and seeds (u(0), u(-1)), so one integer path
 serves both directions.
 
-A ratio needs no gcd of two big ints.  `_pairs` steps a coprime int pair
-through an integer 2x2 matrix; a coprime pair's image can only share
+A ratio needs no gcd of two big ints.  A ratio stream is an orbit of a
+Möbius map z -> (m00*z + m01)/(m10*z + m11): `_orbit` clears its matrix and
+seed to ints once, steps them with `_pairs` and stops before the first
+infinite point, reporting its index.  A coprime pair's image shares only
 factors of the small determinant, so each step reduces by one gcd against
-it.  `ratios` is the pair orbit of rho -> A + B/rho, the Riccati orbit in
-`riccati` is another, and `exact._from_coprime` builds each reduced
-Fraction without a second gcd.  A window term w(k)/(E*D**k) has no such
-small bound on its common factor, so `terms` reduces each with a full gcd.
+it, and `exact._from_coprime` builds each reduced Fraction without a gcd.
+t(k)/t(k+1) of a recurrence is the orbit of (0, 1, B, A); `ratios` steps
+(A, B, 1, 0) without end.  A window term w(k)/(E*D**k) has no such small
+bound on its common factor, so `terms` reduces each with a full gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterator
@@ -177,20 +179,25 @@ def _pairs(m00: int, m01: int, m10: int, m11: int, x: int, y: int) -> Iterator[t
             x, y = x // g, y // g
 
 
-def _ratio_pairs(A, B, a, b) -> Iterator[tuple[int, int]]:
-    """Coprime (x, y) with x/y = u(k+1)/u(k): the orbit of rho -> A + B/rho, cleared by D, from u(1)/u(0)."""
-    P, Q, w0, w1, _, D = clear(A, B, a, b)
-    return _pairs(P, Q // D, D, 0, w1, D * w0)
+def _ints(*values) -> list[int]:
+    """Rationals times the lcm of their denominators: ints in the same ratios."""
+    D = lcm(*(value.denominator for value in values))
+    return [value.numerator * (D // value.denominator) for value in values]
+
+
+def _orbit(matrix: tuple, x, y, count: int) -> tuple[list[Fraction], int | None]:
+    """At most `count` points of z -> (m00*z + m01)/(m10*z + m11) from x/y, ending before the first infinite one.
+
+    They come with that point's index (a zero denominator, or a 0/0 seed), or None.
+    """
+    pairs = islice(_pairs(*_ints(*matrix), *_ints(x, y)), count)
+    values = [_from_coprime(a, b) for a, b in takewhile(itemgetter(1), pairs)]
+    return values, (len(values) if len(values) < count else None)
 
 
 def ratios(A, B, a, b) -> Iterator[Fraction | None]:
-    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0."""
-    return (_from_coprime(x, y) if y else None for x, y in _ratio_pairs(A, B, a, b))
-
-
-def _inverse_ratios(A, B, a, b) -> Iterator[Fraction]:
-    """u(k)/u(k+1) for k = 0, 1, 2, ..., 0 where u(k) = 0, ending before the first u(k+1) = 0."""
-    return (_from_coprime(y, x) for x, y in takewhile(itemgetter(0), _ratio_pairs(A, B, a, b)))
+    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0: the orbit of rho -> A + B/rho from u(1)/u(0)."""
+    return (_from_coprime(x, y) if y else None for x, y in _pairs(*_ints(A, B, 1, 0), *_ints(b, a)))
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:

@@ -12,10 +12,10 @@ An initial value's fate is decided by its orbit alone: `iterate_orbit` is the
 one stepper, and `classify_initial` reads its classification, so x0 is
 forbidden at depth m exactly when the orbit meets the pole at step m.
 
-Every stream here is read off `horadam._pairs`, the one coprime pair
-stepper: `iterate_orbit` through the map's own 2x2 matrix, the closed form,
-the forbidden set and `substitution_check` through the kernel's ratio
-streams.  No step runs a gcd of two big ints.
+Each orbit here, and the step where it meets its pole, is read off
+`horadam._orbit` from a matrix: the map's own (0, q, 1, sign*p), the closed
+form's (0, 1, q, p) for s(k-1)/s(k), and the t-recurrence's (0, 1, 1/q, p/q).
+No step runs a gcd of two big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, takewhile
-from operator import itemgetter
+from itertools import islice
 
-from .exact import DomainError, QuadraticSurd, _from_coprime, as_rational, quadratic_roots
-from .horadam import _inverse_ratios, _pairs, lucas_window, ratios, terms
+from .exact import DomainError, QuadraticSurd, as_rational, quadratic_roots
+from .horadam import _orbit, lucas_window, ratios, terms
 
 __all__ = [
     "MINUS",
@@ -60,7 +59,7 @@ class RiccatiParams:
     q: Fraction
     branch: str = PLUS
     sign: int = field(init=False, repr=False, compare=False)  # +1 plus, -1 minus: x -> q/(x + sign*p)
-    _shift: Fraction = field(init=False, repr=False, compare=False)  # sign*p, computed once: every map step adds it
+    _shift: Fraction = field(init=False, repr=False, compare=False)  # sign*p, computed once for the pole, apply and the orbit
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_rational(self.p))
@@ -129,11 +128,7 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
-    qn, qd = params.q.numerator, params.q.denominator
-    sn, sd = params._shift.numerator, params._shift.denominator
-    pairs = _pairs(0, qn * sd, qd * sd, qd * sn, x0.numerator, x0.denominator)
-    trajectory = [_from_coprime(a, b) for a, b in takewhile(itemgetter(1), islice(pairs, n + 1))]
-    pole_step = len(trajectory) if len(trajectory) <= n else None  # b = 0 at the pole
+    trajectory, pole_step = _orbit((0, params.q, 1, params._shift), x0, 1, n + 1)
     if pole_step is not None:
         classification = Classification("forbidden", pole_step)
     elif params.denominator_at(x0) == 0:
@@ -145,13 +140,6 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
     return OrbitReport(tuple(trajectory), pole_step, classification)
 
 
-def _s_ratios(params: RiccatiParams, x0: Fraction, n: int) -> tuple[list[Fraction], int | None]:
-    """s(k+1)/s(k) for k < n, ending before the first zero s(k) (k >= 1); with that depth k, or None."""
-    stream = ratios(*params.plus_form(), Fraction(1), params.p + params.sign * x0)
-    found = list(takewhile(bool, islice(stream, n)))
-    return found, (len(found) + 1 if len(found) < n else None)
-
-
 def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: int) -> list[Fraction]:
     """Orbit values x0 .. xn from the closed form x(k) = sign*q*s(k-1)/s(k).
 
@@ -160,11 +148,12 @@ def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: i
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
-    s_ratios, depth = _s_ratios(params, x0, n)
-    if depth is not None:
-        raise DomainError(f"initial value {x0} is forbidden at depth {depth}")
+    # g -> 1/(p + q*g) takes s(k-1)/s(k) to s(k)/s(k+1), infinite where s(k+1) = 0
+    s_ratios, stop = _orbit((0, 1, params.q, params.p), 1, params.p + params.sign * x0, n)
+    if stop is not None:
+        raise DomainError(f"initial value {x0} is forbidden at depth {stop + 1}")
     q = params.sign * params.q
-    return [x0] + [q / ratio for ratio in s_ratios]
+    return [x0] + [q * ratio for ratio in s_ratios]
 
 
 def closed_form_term(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Fraction:
@@ -189,7 +178,7 @@ def forbidden_set(params: RiccatiParams, depth: int) -> list[Fraction]:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    u_ratios, _ = _s_ratios(params, Fraction(0), depth)  # x0 = 0 makes s(k) = u(k+1) > 0
+    u_ratios = list(islice(ratios(params.p, params.q, 1, params.p), depth))  # u(m+1)/u(m) from m = 1, all positive
     return [-ratio for ratio in u_ratios] if params.branch == PLUS else u_ratios
 
 
@@ -240,6 +229,11 @@ def substitution_check(
     Per step this checks x(k) against the iterated orbit of x0 = t0/t1 and
     t(k) against its scaled-Lucas closed form (t0*u(k+1) + (q*t1 - p*t0)*u(k)) / q**k.
     A vanishing t(k+1) maps to the orbit's pole at step k.
+
+    The orbit check compares two orbits of x0, the t-recurrence's ratio map
+    z -> 1/(p/q + z/q) and the Riccati map, and never reads `t_values`: a
+    wrong t(k) leaves `orbit_matches` all True and `ratio_values` those of
+    the true sequence, and only `closed_form_matches` fails at k.
     """
     if params.branch != PLUS:
         raise DomainError("the substitution derivation applies to the plus branch")
@@ -268,8 +262,7 @@ def substitution_check(
         qd_k *= qd
 
     orbit = iterate_orbit(params, t0 / t1, n)
-    ratio_values = list(islice(_inverse_ratios(A, B, t0, t1), n + 1))
-    pole_step = len(ratio_values) if len(ratio_values) <= n else None  # t(k+1) = 0 is the pole at step k
+    ratio_values, pole_step = _orbit((0, 1, B, A), t0, t1, n + 1)  # t(k)/t(k+1); t(k+1) = 0 is the pole at step k
     orbit_matches = [
         k < len(orbit.trajectory) and value == orbit.trajectory[k] for k, value in enumerate(ratio_values)
     ]

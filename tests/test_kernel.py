@@ -8,9 +8,11 @@ whose denominators differ from each other and from the coefficients'.
 
 The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
-checked the same way, and a count of `Fraction.__new__` calls that must not
-grow with n keeps a per-step gcd from coming back; a count of horadam's own
-gcd calls holds every pair step to one.
+checked the same way, and `horadam._orbit`, which all of them but `ratios`
+and `forbidden_set` read, against a Fraction stepper of its Möbius map.  A
+count of `Fraction.__new__` calls that must not grow with n keeps a per-step
+gcd from coming back; a count of horadam's own gcd calls holds every pair
+step to one.
 
 `QuadraticSurd.__pow__` and `golden_power_trace` read their powers off the
 same kernel; they are checked against repeated multiplication, and a count
@@ -33,7 +35,6 @@ from aurea import exact, fibfunc, horadam, riccati  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, ratio_trace, verify_convergence  # noqa: E402
 from aurea.horadam import (  # noqa: E402
     RecurrenceParams,
-    _inverse_ratios,
     fast_term,
     horadam_term,
     lucas_window,
@@ -136,34 +137,58 @@ def test_ratios_match_the_fraction_stepper(A, B, a, b, scale, count):
     assert all(ratio is None or _canonical(ratio) for ratio in got)
 
 
+def _mobius_reference(matrix, x, y, count):
+    """(points, stop) of z -> (m00*z + m01)/(m10*z + m11) from x/y, one Fraction step at a time."""
+    m00, m01, m10, m11 = matrix
+    points, num, den = [], Fraction(x), Fraction(y)
+    for k in range(count):
+        if den == 0:
+            return points, k
+        z = num / den
+        points.append(z)
+        num, den = m00 * z + m01, m10 * z + m11
+    return points, None
+
+
+def _pulled_back_pole(matrix, steps):
+    """(x, y) whose orbit is infinite at step `steps`: 1/0 taken back `steps` times by the adjugate matrix."""
+    m00, m01, m10, m11 = matrix
+    x, y = Fraction(1), Fraction(0)
+    for _ in range(steps):
+        x, y = m11 * x - m01 * y, m00 * y - m10 * x
+    return x, y
+
+
+entry = rationals | st.integers(-9, 9) | squared
+
+
+def _recurrence(A, B, a, b, scale, count):
+    """_orbit's arguments for t(k)/t(k+1) of t(k+2) = A*t(k+1) + B*t(k), from the seeds scaled by a common factor."""
+    return dict(matrix=(0, 1, B, A), x=scale * a, y=scale * b, count=count + 1)
+
+
 @PROPERTY
-@given(
-    A=rationals,
-    B=nonzero | squared,
-    a=rationals,
-    b=rationals,
-    scale=st.integers(-36, 36).filter(bool),
-    count=st.integers(0, 120),
-)
-@example(A=Fraction(2, 3), B=Fraction(-5, 9), a=Fraction(0), b=Fraction(1, 4), scale=1, count=40)
-@example(A=Fraction(1), B=Fraction(-1), a=Fraction(1), b=Fraction(1), scale=1, count=12)  # u(2) = 0, period 6
-@example(A=Fraction(2), B=Fraction(-4), a=Fraction(1), b=Fraction(2), scale=6, count=30)  # u(2) = 0, Q = -4
-@example(A=Fraction(3), B=Fraction(-12), a=Fraction(-1), b=Fraction(5, 3), scale=-18, count=80)
-@example(A=Fraction(0), B=Fraction(9, 4), a=Fraction(0), b=Fraction(1), scale=12, count=20)  # every even u(k) = 0
-@example(A=Fraction(0), B=Fraction(9, 4), a=Fraction(1), b=Fraction(0), scale=-4, count=20)  # every odd u(k) = 0
-@example(A=Fraction(5, 2), B=Fraction(-3), a=Fraction(0), b=Fraction(0), scale=1, count=20)  # all zero: ends at once
-def test_inverse_ratios_match_the_fraction_stepper(A, B, a, b, scale, count):
-    """u(k)/u(k+1) for k = 0 .. count, 0 where u(k) = 0, ending before the first u(k+1) = 0."""
-    a, b = scale * a, scale * b
-    ref = reference(A, B, a, b, 0, count)
-    expected = []
-    for k in range(count + 1):
-        if ref[k + 1] == 0:
-            break
-        expected.append(ref[k] / ref[k + 1])
-    got = list(islice(_inverse_ratios(A, B, a, b), count + 1))
-    assert got == expected
-    assert all(_canonical(ratio) for ratio in got)
+@given(matrix=st.tuples(entry, entry, entry, entry), x=entry, y=entry, count=st.integers(0, 120), pole_at=st.integers(0, 40))
+@example(**_recurrence(Fraction(2, 3), Fraction(-5, 9), Fraction(0), Fraction(1, 4), 1, 40), pole_at=3)  # x(0) = 0
+@example(**_recurrence(1, -1, 1, 1, 1, 12), pole_at=0)  # u(2) = 0: period 6, infinite at step 1
+@example(**_recurrence(2, -4, 1, 2, 6, 30), pole_at=30)  # u(2) = 0 with a common factor 6 in the seed
+@example(**_recurrence(3, -12, -1, Fraction(5, 3), -18, 80), pole_at=7)
+@example(**_recurrence(0, Fraction(9, 4), 0, 1, 12, 20), pole_at=2)  # every even u(k) = 0
+@example(**_recurrence(0, Fraction(9, 4), 1, 0, -4, 20), pole_at=5)  # every odd u(k) = 0: an infinite seed
+@example(**_recurrence(Fraction(5, 2), -3, 0, 0, 1, 20), pole_at=4)  # all zero: 0/0 ends at once
+@example(matrix=(0, Fraction(8, 9), 1, Fraction(-4, 27)), x=Fraction(1, 2), y=1, count=0, pole_at=0)  # count = 0
+@example(matrix=(0, Fraction(8, 9), 1, Fraction(-4, 27)), x=Fraction(1, 2), y=1, count=60, pole_at=25)  # det < 0
+@example(matrix=(2, -1, 3, 5), x=-4, y=6, count=40, pole_at=17)  # int entries, det > 0
+def test_orbit_matches_the_mobius_stepper(matrix, x, y, count, pole_at):
+    """The points and stop of a drawn seed and of one pulled back from infinity by `pole_at` steps."""
+    m00, m01, m10, m11 = matrix
+    assume(m00 * m11 != m01 * m10)
+    for seed in ((x, y), _pulled_back_pole(matrix, pole_at)):
+        points, stop = horadam._orbit(matrix, *seed, count)
+        assert (points, stop) == _mobius_reference(matrix, *seed, count)
+        assert all(_canonical(z) for z in points)
+    if pole_at < count:  # a Möbius map of finite order may meet infinity before `pole_at`, never after it
+        assert horadam._orbit(matrix, *_pulled_back_pole(matrix, pole_at), count)[1] <= pole_at
 
 
 def _orbit_reference(p, q, sign, x0, n):
@@ -607,35 +632,54 @@ def _fractions_built(monkeypatch, run):
 
 
 MINUS_MAP = RiccatiParams(Fraction(7, 3), Fraction(5, 2), MINUS)
+PLUS_MAP = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS)
 GOLDEN_SEED = PeriodicSeed(1, RatioParams(1, 1), (0,), ((Fraction(1), Fraction(1)),))
+ODD_SEED = PeriodicSeed(1, RatioParams(Fraction(3, 2), Fraction(2, 5), ODD), (0,), ((Fraction(1, 4), Fraction(5, 6)),))
 NEVER = Fraction(1, 10**400)  # no golden ratio is this close by n = 500, so every step compares
 
 PER_STEP_RUNS = {
     "iterate_orbit": lambda n: len(iterate_orbit(MINUS_MAP, Fraction(1, 2), n).trajectory) == n + 1,
     "closed_form_trajectory": lambda n: len(closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n + 1,
-    "forbidden_set": lambda n: len(forbidden_set(RiccatiParams(Fraction(7, 3), Fraction(5, 2)), n)) == n,
+    "forbidden_set": lambda n: len(forbidden_set(PLUS_MAP, n)) == n,
     "verify_convergence": lambda n: verify_convergence(GOLDEN_SEED, NEVER, horizon=n)[0].first_step is None,
+    "ratio_trace": lambda n: len(ratio_trace(ODD_SEED, 0, -n, n).ratios) == 2 * n + 1,
+    "substitution_check": lambda n: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n).passed,
 }
+# the windows these runs read reduce each term with a full gcd, as `terms` does by design
+WINDOWS = [(riccati, "terms"), (riccati, "lucas_window"), (fibfunc, "terms")]
+
+
+def _memoized(function):
+    """function with each result computed once per argument tuple, and handed out as a fresh list."""
+    cache = {}
+
+    def lookup(*args):
+        if args not in cache:
+            cache[args] = function(*args)
+        return list(cache[args])
+
+    return lookup
 
 
 @pytest.mark.parametrize("name", sorted(PER_STEP_RUNS))
 def test_ratio_streams_build_no_fraction_per_step(monkeypatch, name):
     """The Fraction count is the same at n = 50 and n = 500: no step builds one through the gcd."""
     run = PER_STEP_RUNS[name]
-    assert run(50) and run(500)
+    for module, window in WINDOWS:
+        monkeypatch.setattr(module, window, _memoized(getattr(module, window)))
+    assert run(50) and run(500)  # and fills the windows' caches
     counts = [_fractions_built(monkeypatch, lambda: run(n)) for n in (50, 500)]
     assert counts[0] == counts[1]
 
 
 def test_ratio_trace_builds_no_fraction_per_ratio(monkeypatch):
     """ratio_trace's ratios, with its window of values (which does reduce each term) computed beforehand."""
-    seed = PeriodicSeed(1, RatioParams(Fraction(3, 2), Fraction(2, 5), ODD), (0,), ((Fraction(1, 4), Fraction(5, 6)),))
     counts = []
     for n in (50, 500):
         values = terms(-Fraction(3, 2), Fraction(2, 5), Fraction(1, 4), Fraction(5, 6), -n, n + 1)
         monkeypatch.setattr(fibfunc, "terms", lambda *args: list(values))
-        counts.append(_fractions_built(monkeypatch, lambda: ratio_trace(seed, 0, -n, n)))
-        assert len(ratio_trace(seed, 0, -n, n).ratios) == 2 * n + 1
+        counts.append(_fractions_built(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, -n, n)))
+        assert len(ratio_trace(ODD_SEED, 0, -n, n).ratios) == 2 * n + 1
     assert counts[0] == counts[1]
 
 
@@ -656,10 +700,18 @@ def _gcds_run(monkeypatch, run):
 
 @pytest.mark.parametrize("n", [50, 500])
 def test_one_gcd_per_pair_stepped(monkeypatch, n):
-    """n ratios read n coprime pairs and x0 .. xn read n + 1: one small gcd per pair, the first reducing the start."""
+    """One small gcd per coprime pair read, the first reducing the start.
+
+    n ratios read n pairs, x0 .. xn read n + 1 and the closed form's x1 .. xn
+    read n; ratio_trace over [0, n] reads n + 1, and substitution_check reads
+    n + 1 for its ratio stream and n + 1 for the orbit it is checked against.
+    """
 
     def stream():
         return list(islice(ratios(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6)), n))
 
     assert _gcds_run(monkeypatch, stream) == n
     assert _gcds_run(monkeypatch, lambda: iterate_orbit(MINUS_MAP, Fraction(1, 2), n)) == n + 1
+    assert _gcds_run(monkeypatch, lambda: closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n
+    assert _gcds_run(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, 0, n)) == n + 1
+    assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 2 * n + 2
