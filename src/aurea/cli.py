@@ -9,40 +9,30 @@ Handlers return `{"params", "result"}` records holding plain library values
 Exit codes: 0 success, 2 domain error (pole, forbidden seed, degenerate
 input), 3 argument or parse error.  Records go to stdout, diagnostics to
 stderr.  Output is deterministic for identical arguments.
+
+One process runs one command, so each handler imports the library modules
+it calls when it runs, and `_emit` the one output format it writes: a
+process loads `exact` and only the modules its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
 
-from .exact import DomainError, QuadraticSurd, decimal_str, format_rational, parse_rational
-from .fibfunc import extend, load_seed, ratio_trace, verify_convergence
-from .horadam import RecurrenceParams, window
-from .limits import (
+from .exact import (
     BACKWARD,
     FORWARD,
-    ODD,
-    STANDARD,
-    RatioParams,
-    certificate,
-    cf_convergent,
-    dominant_root,
-    limit_estimate,
-)
-from .riccati import (
     MINUS,
+    ODD,
     PLUS,
-    RiccatiParams,
-    classify_initial,
-    closed_form_trajectory,
-    forbidden_set,
-    iterate_orbit,
-    substitution_check,
+    STANDARD,
+    DomainError,
+    QuadraticSurd,
+    decimal_str,
+    format_rational,
+    parse_rational,
 )
 
 __all__ = ["main", "run"]
@@ -114,7 +104,12 @@ def _emit(records: list[dict], fmt: str) -> str:
     """The whole output text, built before anything is written so a failed
     conversion leaves stdout empty."""
     if fmt == "json":
+        import json
+
         return "".join(json.dumps(record, default=_wire) + "\n" for record in records)
+    import csv
+    import io
+
     rows = [_flatten(record) for record in records]
     fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     out = io.StringIO()
@@ -129,6 +124,8 @@ def _emit(records: list[dict], fmt: str) -> str:
 
 
 def _cmd_horadam(args) -> list[dict]:
+    from .horadam import RecurrenceParams, window
+
     params = RecurrenceParams(
         parse_rational(args.w0), parse_rational(args.w1), parse_rational(args.p), parse_rational(args.q)
     )
@@ -141,15 +138,19 @@ def _cmd_horadam(args) -> list[dict]:
     ]
 
 
-def _riccati_params(args) -> RiccatiParams:
+def _riccati_params(args):
+    from .riccati import RiccatiParams
+
     return RiccatiParams(parse_rational(args.p), parse_rational(args.q), args.branch)
 
 
-def _riccati_echo(params: RiccatiParams, **extra) -> dict:
+def _riccati_echo(params, **extra) -> dict:
     return {"p": params.p, "q": params.q, "branch": params.branch, **extra}
 
 
 def _cmd_riccati_orbit(args) -> list[dict]:
+    from .riccati import iterate_orbit
+
     params = _riccati_params(args)
     x0 = parse_rational(args.x0)
     report = iterate_orbit(params, x0, args.n)
@@ -166,6 +167,8 @@ def _cmd_riccati_orbit(args) -> list[dict]:
 
 
 def _cmd_riccati_solve(args) -> list[dict]:
+    from .riccati import closed_form_trajectory, iterate_orbit
+
     params = _riccati_params(args)
     x0 = parse_rational(args.x0)
     closed = closed_form_trajectory(params, x0, args.n)
@@ -184,6 +187,8 @@ def _cmd_riccati_solve(args) -> list[dict]:
 
 
 def _cmd_riccati_forbidden(args) -> list[dict]:
+    from .riccati import forbidden_set
+
     params = _riccati_params(args)
     return [
         {
@@ -194,6 +199,8 @@ def _cmd_riccati_forbidden(args) -> list[dict]:
 
 
 def _cmd_riccati_classify(args) -> list[dict]:
+    from .riccati import classify_initial
+
     params = _riccati_params(args)
     if args.surd is not None:
         value = _parse_surd(args.surd)
@@ -205,6 +212,8 @@ def _cmd_riccati_classify(args) -> list[dict]:
 
 
 def _cmd_riccati_subst_check(args) -> list[dict]:
+    from .riccati import RiccatiParams, substitution_check
+
     params = RiccatiParams(parse_rational(args.p), parse_rational(args.q), PLUS)
     t0, t1 = parse_rational(args.t0), parse_rational(args.t1)
     report = substitution_check(params, t0, t1, args.n)
@@ -224,6 +233,8 @@ def _cmd_riccati_subst_check(args) -> list[dict]:
 
 
 def _cmd_limits_certificate(args) -> list[dict]:
+    from .limits import certificate
+
     f0, fk = parse_rational(args.f0), parse_rational(args.fk)
     cert = certificate(f0, fk, parse_rational(args.eps))
     return [
@@ -235,6 +246,8 @@ def _cmd_limits_certificate(args) -> list[dict]:
 
 
 def _cmd_limits_rho(args) -> list[dict]:
+    from .limits import dominant_root
+
     r, s = parse_rational(args.r), parse_rational(args.s)
     root = dominant_root(r, s)
     return [
@@ -246,6 +259,8 @@ def _cmd_limits_rho(args) -> list[dict]:
 
 
 def _cmd_limits_cf(args) -> list[dict]:
+    from .limits import cf_convergent
+
     value = cf_convergent(args.m)
     return [
         {
@@ -256,6 +271,8 @@ def _cmd_limits_cf(args) -> list[dict]:
 
 
 def _cmd_limits_estimate(args) -> list[dict]:
+    from .limits import RatioParams, limit_estimate
+
     digits = args.digits
     params = RatioParams(parse_rational(args.r), parse_rational(args.s), args.parity)
     seed = (parse_rational(args.seed0), parse_rational(args.seed1))
@@ -299,6 +316,8 @@ def _fibfunc_echo(args, seed, offset: Fraction, **extra) -> dict:
 
 
 def _cmd_fibfunc_extend(args) -> list[dict]:
+    from .fibfunc import extend, load_seed
+
     seed = load_seed(args.seed_file)
     return [
         {
@@ -310,6 +329,8 @@ def _cmd_fibfunc_extend(args) -> list[dict]:
 
 
 def _cmd_fibfunc_trace(args) -> list[dict]:
+    from .fibfunc import load_seed, ratio_trace
+
     seed = load_seed(args.seed_file)
     indices = range(len(seed.offsets)) if args.offset_index is None else [args.offset_index]
     traces = (ratio_trace(seed, index, args.nmin, args.nmax) for index in indices)
@@ -323,6 +344,8 @@ def _cmd_fibfunc_trace(args) -> list[dict]:
 
 
 def _cmd_fibfunc_verify(args) -> list[dict]:
+    from .fibfunc import load_seed, verify_convergence
+
     digits = args.digits
     seed = load_seed(args.seed_file)
     records = []

@@ -32,9 +32,53 @@ __all__ = [
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+# Branch, parity and direction names.  riccati and limits export them; they
+# live here so that the CLI parser can read them without loading either.
+PLUS = "plus"
+MINUS = "minus"
+STANDARD = "standard"
+ODD = "odd"
+FORWARD = "forward"
+BACKWARD = "backward"
+
 
 class DomainError(Exception):
     """An operation was asked to leave its mathematical domain."""
+
+
+class _Record:
+    """Immutable value over the fields its subclass annotates, in order.
+
+    `==`, `hash` and `repr` read those fields the way a frozen dataclass's
+    do.  A subclass's `__init__` validates its arguments and stores the
+    fields, and any attribute derived from them, with `self.__dict__.update`;
+    a derived attribute is not annotated, so it takes no part in `==`,
+    `hash` or `repr`.  Assignment and deletion raise AttributeError.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:

@@ -11,10 +11,9 @@ root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, QuadraticSurd, as_rational, format_rational
+from .exact import DomainError, QuadraticSurd, _Record, as_rational, format_rational
 from .horadam import _orbit, ratios, terms
 from .limits import ODD, STANDARD, ConvergenceCertificate, RatioParams, certificate, dominant_root
 
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicSeed:
+class PeriodicSeed(_Record):
     """Sampled seed data for a period-k recurrence.
 
     Each offset ξ in [0, k) carries the pair (f(ξ), f(ξ + k)); the lattices
@@ -45,38 +43,38 @@ class PeriodicSeed:
     offsets: tuple[Fraction, ...]
     seed_pairs: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "period", as_rational(self.period))
-        object.__setattr__(self, "offsets", tuple(as_rational(x) for x in self.offsets))
-        object.__setattr__(
-            self,
-            "seed_pairs",
-            tuple((as_rational(a), as_rational(b)) for a, b in self.seed_pairs),
-        )
-        if self.period <= 0:
-            raise DomainError(f"period must be positive, got {self.period}")
-        if not self.offsets:
+    def __init__(self, period, kind, offsets, seed_pairs) -> None:
+        period = as_rational(period)
+        offsets = tuple(as_rational(x) for x in offsets)
+        seed_pairs = tuple((as_rational(a), as_rational(b)) for a, b in seed_pairs)
+        if period <= 0:
+            raise DomainError(f"period must be positive, got {period}")
+        if not offsets:
             raise DomainError("at least one offset is required")
-        if len(self.offsets) != len(self.seed_pairs):
+        if len(offsets) != len(seed_pairs):
             raise DomainError("offsets and seed pairs must pair up one to one")
         previous = None
-        for offset in self.offsets:
-            if not (0 <= offset < self.period):
-                raise DomainError(f"offset {offset} outside [0, {self.period})")
+        for offset in offsets:
+            if not (0 <= offset < period):
+                raise DomainError(f"offset {offset} outside [0, {period})")
             if previous is not None and offset <= previous:
                 raise DomainError("offsets must be strictly increasing")
             previous = offset
+        self.__dict__.update(period=period, kind=kind, offsets=offsets, seed_pairs=seed_pairs)
 
 
-@dataclass(frozen=True)
-class LatticeTrace:
+class LatticeTrace(_Record):
     """Values f(ξ + n*k) along one offset lattice, with optional ratio data."""
 
     offset: Fraction
     n_start: int
     values: tuple[Fraction, ...]
-    ratios: tuple[Fraction, ...] | None = None
-    ratio_undefined_at: int | None = None
+    ratios: tuple[Fraction, ...] | None
+    ratio_undefined_at: int | None
+
+    def __init__(self, offset, n_start, values, ratios=None, ratio_undefined_at=None) -> None:
+        self.__dict__.update(offset=offset, n_start=n_start, values=values, ratios=ratios,
+                             ratio_undefined_at=ratio_undefined_at)
 
     def value_at(self, n: int) -> Fraction:
         """f(ξ + n*k); an n outside the trace is refused, not read from the other end."""
@@ -123,8 +121,7 @@ def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: in
     return LatticeTrace(offset, n_min, tuple(values), tuple(ratio_values), undefined_at)
 
 
-@dataclass(frozen=True)
-class OffsetReport:
+class OffsetReport(_Record):
     """Per-offset convergence report for the consecutive ratios f(ξ+(n+1)k)/f(ξ+nk)."""
 
     offset: Fraction
@@ -133,7 +130,11 @@ class OffsetReport:
     first_step: int | None
     ratio: Fraction | None
     horizon: int
-    certificate: ConvergenceCertificate | None = None
+    certificate: ConvergenceCertificate | None
+
+    def __init__(self, offset, target, epsilon, first_step, ratio, horizon, certificate=None) -> None:
+        self.__dict__.update(offset=offset, target=target, epsilon=epsilon, first_step=first_step, ratio=ratio,
+                             horizon=horizon, certificate=certificate)
 
     @property
     def converged(self) -> bool:

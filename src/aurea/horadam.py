@@ -45,14 +45,13 @@ bound on its common factor, so `terms` reduces each with a full gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterator
 
-from .exact import DomainError, _from_coprime, as_rational
+from .exact import DomainError, _from_coprime, _Record, as_rational
 
 __all__ = [
     "FIBONACCI",
@@ -67,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RecurrenceParams:
+class RecurrenceParams(_Record):
     """Seeds and coefficients of w(n+2) = p*w(n+1) - q*w(n); q != 0 keeps it invertible."""
 
     w0: Fraction
@@ -76,11 +74,11 @@ class RecurrenceParams:
     p: Fraction
     q: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("w0", "w1", "p", "q"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if self.q == 0:
+    def __init__(self, w0, w1, p, q) -> None:
+        w0, w1, p, q = as_rational(w0), as_rational(w1), as_rational(p), as_rational(q)
+        if q == 0:
             raise DomainError("q = 0 makes the recurrence non-invertible")
+        self.__dict__.update(w0=w0, w1=w1, p=p, q=q)
 
     def plus_form(self) -> tuple[Fraction, Fraction]:
         """(A, B) = (p, -q) of the "+" form u(k+2) = A*u(k+1) + B*u(k)."""
@@ -90,12 +88,14 @@ class RecurrenceParams:
 FIBONACCI = RecurrenceParams(0, 1, 1, -1)
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
+class SequenceWindow(_Record):
     """Contiguous run of terms; start may be negative."""
 
     start: int
     values: tuple[Fraction, ...]
+
+    def __init__(self, start, values) -> None:
+        self.__dict__.update(start=start, values=values)
 
 
 def clear(A, B, a, b) -> tuple[int, int, int, int, int, int]:

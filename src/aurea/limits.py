@@ -15,14 +15,26 @@ with h standard, so its ratios and their limits are the standard ones negated;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from math import log, log1p
-from typing import Sequence
 
-from .exact import DomainError, GOLDEN_RATIO, QuadraticSurd, as_rational, quadratic_roots
+from .exact import (
+    BACKWARD,
+    FORWARD,
+    GOLDEN_RATIO,
+    MINUS,
+    ODD,
+    PLUS,
+    STANDARD,
+    DomainError,
+    QuadraticSurd,
+    _Record,
+    as_rational,
+    quadratic_roots,
+)
 from .horadam import terms, walk
-from .riccati import MINUS, PLUS, OrbitReport, RiccatiParams, closed_form_term, iterate_orbit
+from .riccati import OrbitReport, RiccatiParams, closed_form_term, iterate_orbit
 
 __all__ = [
     "BACKWARD",
@@ -46,29 +58,22 @@ __all__ = [
 # bits of the largest power certificate() computes; a search near it takes under a second
 _CERTIFICATE_BITS = 1 << 22
 
-STANDARD = "standard"
-ODD = "odd"
-FORWARD = "forward"
-BACKWARD = "backward"
 
-
-@dataclass(frozen=True)
-class RatioParams:
+class RatioParams(_Record):
     """Positive coefficients of f(n+2) = ±r*f(n+1) + s*f(n); parity picks the sign."""
 
     r: Fraction
     s: Fraction
-    parity: str = STANDARD
-    sign: int = field(init=False, repr=False, compare=False)  # +1 standard, -1 odd: f(n+2) = sign*r*f(n+1) + s*f(n)
+    parity: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", as_rational(self.r))
-        object.__setattr__(self, "s", as_rational(self.s))
-        if self.r <= 0 or self.s <= 0:
-            raise DomainError(f"r and s must be positive, got r={self.r}, s={self.s}")
-        if self.parity not in (STANDARD, ODD):
-            raise DomainError(f"parity must be {STANDARD!r} or {ODD!r}, got {self.parity!r}")
-        object.__setattr__(self, "sign", 1 if self.parity == STANDARD else -1)
+    def __init__(self, r, s, parity=STANDARD) -> None:
+        r, s = as_rational(r), as_rational(s)
+        if r <= 0 or s <= 0:
+            raise DomainError(f"r and s must be positive, got r={r}, s={s}")
+        if parity not in (STANDARD, ODD):
+            raise DomainError(f"parity must be {STANDARD!r} or {ODD!r}, got {parity!r}")
+        # sign: +1 standard, -1 odd, so f(n+2) = sign*r*f(n+1) + s*f(n)
+        self.__dict__.update(r=r, s=s, parity=parity, sign=1 if parity == STANDARD else -1)
 
     def riccati(self) -> RiccatiParams:
         """The induced ratio map as a Riccati instance (p = r/s, q = 1/s)."""
@@ -92,8 +97,7 @@ def closed_form_ratio(g0: Fraction | int | str, n: int) -> Fraction:
     return closed_form_term(RiccatiParams(1, 1, PLUS), g0, n)
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(_Record):
     """Exact Cauchy certificate for the golden ratio map g -> 1/(1 + g).
 
     For a seed pair with f0 >= 0 and fk > 0 the certificate guarantees
@@ -106,6 +110,9 @@ class ConvergenceCertificate:
     c: Fraction
     epsilon: Fraction
     N: int
+
+    def __init__(self, M, c, epsilon, N) -> None:
+        self.__dict__.update(M=M, c=c, epsilon=epsilon, N=N)
 
     def tail_bound(self, n: int) -> Fraction:
         if n < 2:
@@ -172,8 +179,7 @@ def dominant_root(r: Fraction | int | str, s: Fraction | int | str) -> Quadratic
     return quadratic_roots(r, s)[0]
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(_Record):
     """Final consecutive-term ratio of a recurrence run, next to its exact limit.
 
     `target` is the root the ratios provably approach.  For the backward
@@ -186,7 +192,11 @@ class LimitEstimate:
     steps: int
     ratio: Fraction
     target: QuadraticSurd
-    claimed: QuadraticSurd | None = None
+    claimed: QuadraticSurd | None
+
+    def __init__(self, params, direction, steps, ratio, target, claimed=None) -> None:
+        self.__dict__.update(params=params, direction=direction, steps=steps, ratio=ratio, target=target,
+                             claimed=claimed)
 
 
 def limit_estimate(
@@ -226,13 +236,15 @@ def cf_convergent(m: int) -> Fraction:
     return Fraction(*walk(1, 1, 0, 1, m))
 
 
-@dataclass(frozen=True)
-class NestingReport:
+class NestingReport(_Record):
     """Outcome of checking the canonical orbit against Fibonacci convergents."""
 
     n_max: int
     convergent_failures: tuple[int, ...]
     ordering_failures: tuple[int, ...]
+
+    def __init__(self, n_max, convergent_failures, ordering_failures) -> None:
+        self.__dict__.update(n_max=n_max, convergent_failures=convergent_failures, ordering_failures=ordering_failures)
 
     @property
     def passed(self) -> bool:

@@ -24,11 +24,10 @@ The paper's closed forms for both branches are kept as test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .exact import DomainError, QuadraticSurd, as_rational, quadratic_roots
+from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _Record, as_rational, quadratic_roots
 from .horadam import _orbit, lucas_window, ratios, terms
 
 __all__ = [
@@ -47,29 +46,23 @@ __all__ = [
     "substitution_check",
 ]
 
-PLUS = "plus"
-MINUS = "minus"
 
-
-@dataclass(frozen=True)
-class RiccatiParams:
+class RiccatiParams(_Record):
     """Positive coefficients and branch sign of the map x -> q/(±p + x)."""
 
     p: Fraction
     q: Fraction
-    branch: str = PLUS
-    sign: int = field(init=False, repr=False, compare=False)  # +1 plus, -1 minus: x -> q/(x + sign*p)
-    _shift: Fraction = field(init=False, repr=False, compare=False)  # sign*p, computed once for the pole, apply and the orbit
+    branch: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", as_rational(self.p))
-        object.__setattr__(self, "q", as_rational(self.q))
-        if self.p <= 0 or self.q <= 0:
-            raise DomainError(f"p and q must be positive, got p={self.p}, q={self.q}")
-        if self.branch not in (PLUS, MINUS):
-            raise DomainError(f"branch must be {PLUS!r} or {MINUS!r}, got {self.branch!r}")
-        object.__setattr__(self, "sign", 1 if self.branch == PLUS else -1)
-        object.__setattr__(self, "_shift", self.sign * self.p)
+    def __init__(self, p, q, branch=PLUS) -> None:
+        p, q = as_rational(p), as_rational(q)
+        if p <= 0 or q <= 0:
+            raise DomainError(f"p and q must be positive, got p={p}, q={q}")
+        if branch not in (PLUS, MINUS):
+            raise DomainError(f"branch must be {PLUS!r} or {MINUS!r}, got {branch!r}")
+        sign = 1 if branch == PLUS else -1  # x -> q/(x + sign*p)
+        # sign*p is computed once for the pole, apply and the orbit
+        self.__dict__.update(p=p, q=q, branch=branch, sign=sign, _shift=sign * p)
 
     def plus_form(self) -> tuple[Fraction, Fraction]:
         """(A, B) = (p, q) of the "+" form u(k+2) = A*u(k+1) + B*u(k) behind the closed forms."""
@@ -90,12 +83,14 @@ class RiccatiParams:
         return self.q / den
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Status of an initial value: regular, fixed_point, or forbidden at a finite depth."""
 
     kind: str
-    depth: int | None = None
+    depth: int | None
+
+    def __init__(self, kind, depth=None) -> None:
+        self.__dict__.update(kind=kind, depth=depth)
 
     def label(self) -> str:
         if self.kind == "forbidden":
@@ -107,11 +102,13 @@ REGULAR = Classification("regular")
 FIXED_POINT = Classification("fixed_point")
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(_Record):
     trajectory: tuple[Fraction, ...]
     pole_step: int | None
     classification: Classification
+
+    def __init__(self, trajectory, pole_step, classification) -> None:
+        self.__dict__.update(trajectory=trajectory, pole_step=pole_step, classification=classification)
 
     @property
     def completed(self) -> bool:
@@ -201,8 +198,7 @@ def classify_initial(
     return iterate_orbit(params, x0, depth).classification
 
 
-@dataclass(frozen=True)
-class SubstitutionReport:
+class SubstitutionReport(_Record):
     """Step-by-step audit of the linearising substitution x(n) = t(n)/t(n+1)."""
 
     t_values: tuple[Fraction, ...]
@@ -210,6 +206,10 @@ class SubstitutionReport:
     orbit_matches: tuple[bool, ...]
     closed_form_matches: tuple[bool, ...]
     pole_step: int | None
+
+    def __init__(self, t_values, ratio_values, orbit_matches, closed_form_matches, pole_step) -> None:
+        self.__dict__.update(t_values=t_values, ratio_values=ratio_values, orbit_matches=orbit_matches,
+                             closed_form_matches=closed_form_matches, pole_step=pole_step)
 
     status = OrbitReport.status  # one formatter for every run that may meet the pole
 

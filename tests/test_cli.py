@@ -9,7 +9,7 @@ import pytest
 
 from aurea.cli import main
 from aurea.exact import decimal_str, parse_rational
-from golden import GOLDEN_PATH, _golden_argvs, _golden_run
+from golden import GOLDEN_COMMANDS, GOLDEN_PATH, GOLDEN_SEEDS, SRC, _golden_argvs, _golden_run
 
 
 def run_cli(capsys, argv):
@@ -325,3 +325,50 @@ def test_module_entry_point_in_a_process(command):
     assert proc.stdout == expected["stdout"]
     assert proc.returncode == expected["exit_code"]
 
+
+# Start-up: a process loads `exact` and only the library modules its command
+# runs.  Each probe is a fresh `python -S`, so no module that `site` preloads
+# hides a missing deferred import or a module loaded for nothing.
+
+_MODULES_AFTER_MAIN = """
+import sys
+from aurea.cli import main
+status = main(sys.argv[1:])
+sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)))
+sys.exit(status)
+"""
+
+# the first golden command of each of the 14 leaves
+LEAF_COMMANDS = {command.split(" --")[0]: command for command in reversed(GOLDEN_COMMANDS)}
+
+LIBRARY_LOADED = {
+    "horadam": {"exact", "horadam"},
+    "riccati": {"exact", "horadam", "riccati"},
+    "limits": {"exact", "horadam", "riccati", "limits"},
+    "fibfunc": {"exact", "horadam", "riccati", "limits", "fibfunc"},
+}
+
+
+def _modules_loaded(args, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-S", *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.rpartition("modules: ")[2].split())
+
+
+@pytest.mark.parametrize("leaf, fmt", [*((leaf, "json") for leaf in sorted(LEAF_COMMANDS)), ("limits rho", "csv")])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, leaf, fmt):
+    for name, text in GOLDEN_SEEDS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [*LEAF_COMMANDS[leaf].split(), "--format", fmt]
+    modules = _modules_loaded(["-c", _MODULES_AFTER_MAIN, *argv], tmp_path)
+    expected = {"aurea", "aurea.cli"} | {f"aurea.{name}" for name in LIBRARY_LOADED[leaf.split()[0]]}
+    assert {name for name in modules if name.startswith("aurea")} == expected
+    assert not modules & {"dataclasses", "typing", "json" if fmt == "csv" else "csv"}
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    code = "import sys, aurea; sys.stderr.write('modules: ' + ' '.join(sys.modules))"
+    assert {name for name in _modules_loaded(["-c", code], tmp_path) if name.startswith("aurea")} == {"aurea"}

@@ -672,17 +672,6 @@ def test_ratio_streams_build_no_fraction_per_step(monkeypatch, name):
     assert counts[0] == counts[1]
 
 
-def test_ratio_trace_builds_no_fraction_per_ratio(monkeypatch):
-    """ratio_trace's ratios, with its window of values (which does reduce each term) computed beforehand."""
-    counts = []
-    for n in (50, 500):
-        values = terms(-Fraction(3, 2), Fraction(2, 5), Fraction(1, 4), Fraction(5, 6), -n, n + 1)
-        monkeypatch.setattr(fibfunc, "terms", lambda *args: list(values))
-        counts.append(_fractions_built(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, -n, n)))
-        assert len(ratio_trace(ODD_SEED, 0, -n, n).ratios) == 2 * n + 1
-    assert counts[0] == counts[1]
-
-
 def _gcds_run(monkeypatch, run):
     """Number of calls to horadam's gcd during run(); each must have an operand of at most 64 bits."""
     calls, real = [], horadam.gcd
