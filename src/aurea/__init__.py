@@ -8,7 +8,8 @@ CLI command loads only the modules it runs.
 
 __version__ = "0.1.0"
 
-# in import order: each module imports only modules before it
+# each module imports only modules before it, so looking up a name loads
+# just its own module and the ones that module imports
 _MODULES = ("exact", "horadam", "riccati", "limits", "fibfunc")
 
 

@@ -23,9 +23,7 @@ from .exact import (
     BACKWARD,
     FORWARD,
     GOLDEN_RATIO,
-    MINUS,
     ODD,
-    PLUS,
     STANDARD,
     DomainError,
     QuadraticSurd,
@@ -34,7 +32,7 @@ from .exact import (
     quadratic_roots,
 )
 from .horadam import terms, walk
-from .riccati import OrbitReport, RiccatiParams, closed_form_term, iterate_orbit
+from .riccati import MINUS, PLUS, OrbitReport, RiccatiParams, closed_form_term, iterate_orbit
 
 __all__ = [
     "BACKWARD",

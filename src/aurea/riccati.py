@@ -60,8 +60,8 @@ class RiccatiParams(_Record):
             raise DomainError(f"p and q must be positive, got p={p}, q={q}")
         if branch not in (PLUS, MINUS):
             raise DomainError(f"branch must be {PLUS!r} or {MINUS!r}, got {branch!r}")
-        sign = 1 if branch == PLUS else -1  # x -> q/(x + sign*p)
-        # sign*p is computed once for the pole, apply and the orbit
+        sign = 1 if branch == PLUS else -1  # +1 plus, -1 minus: x -> q/(x + sign*p)
+        # _shift = sign*p, computed once for the pole, apply and the orbit
         self.__dict__.update(p=p, q=q, branch=branch, sign=sign, _shift=sign * p)
 
     def plus_form(self) -> tuple[Fraction, Fraction]:

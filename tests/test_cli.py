@@ -334,11 +334,11 @@ _MODULES_AFTER_MAIN = """
 import sys
 from aurea.cli import main
 status = main(sys.argv[1:])
-sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)))
+sys.stderr.write("modules: " + " ".join(sys.modules))
 sys.exit(status)
 """
 
-# the first golden command of each of the 14 leaves
+# the first golden command of each of the 13 leaves
 LEAF_COMMANDS = {command.split(" --")[0]: command for command in reversed(GOLDEN_COMMANDS)}
 
 LIBRARY_LOADED = {

@@ -110,7 +110,7 @@ def test_value_semantics(cls, fields, changed, text):
     value = cls(*fields.values())
     same = cls(**fields)
     other = cls(**{**fields, **changed})
-    assert value == same and not value != same and hash(value) == hash(same)
+    assert value == same and not value != same and hash(value) == hash(same) == hash(tuple(fields.values()))
     assert value != other and not value == other
     assert value != tuple(fields.values())
     assert repr(value) == text
