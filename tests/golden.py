@@ -1,12 +1,13 @@
-"""Golden CLI output: the exit code and stdout of every command below, in json and csv.
+"""Golden CLI output: the exit code and stdout of every command below, in json and csv,
+and of `--help` at the top level, on each command group and on each of the 13 leaves.
 
-`golden_cli.json` holds them, captured once, and `test_cli.py` compares each
-run with it byte for byte, so a refactor of the library cannot change what
-the CLI prints.  This file needs only the standard library, so the same
-replay runs where pytest is not installed:
+`golden_cli.json` and `golden_help.json` hold them, captured once, and
+`test_cli.py` compares each run with them byte for byte, so a refactor of the
+library or of the parser cannot change what the CLI prints.  This file needs
+only the standard library, so the same replay runs where pytest is not installed:
 
     python tests/golden.py --check    # list each differing command, exit 1 if any
-    python tests/golden.py --write    # regenerate, only for an intended output change
+    python tests/golden.py --write    # regenerate, only for an intended output change (below Python 3.13)
 """
 
 import argparse
@@ -19,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+HELP_PATH = Path(__file__).with_name("golden_help.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_SEEDS = {
@@ -71,6 +73,13 @@ def _golden_argvs():
     return [[*command.split(), "--format", fmt] for command in GOLDEN_COMMANDS for fmt in ("json", "csv")]
 
 
+def _help_argvs():
+    """`--help` at the top level, on each command group and on each leaf of GOLDEN_COMMANDS."""
+    leaves = dict.fromkeys(command.split(" --")[0] for command in GOLDEN_COMMANDS)
+    groups = dict.fromkeys(leaf.split()[0] for leaf in leaves if " " in leaf)
+    return [["--help"], *([*words.split(), "--help"] for words in [*groups, *leaves])]
+
+
 def _golden_run(argv):
     """(exit code, stdout) of one in-process run, in a directory holding the seed files."""
     from aurea.cli import main as cli_main  # deferred: run as a script, this file puts src/ on the path first
@@ -89,26 +98,57 @@ def _golden_run(argv):
     return code, out.getvalue()
 
 
+def _help_run(argv):
+    """(exit code, stdout) of one `--help` run at 80 columns: argparse wraps help
+    to the width it reads from COLUMNS, so a pinned text must fix it."""
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return _golden_run(argv)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
+def help_text_key(text):
+    """What a help text is compared by.  Python 3.13's argparse wraps some long
+    usage lines at other points than 3.10-3.12 (the pins' version), with the same
+    words in the same order, so from 3.13 on runs of whitespace count as one space."""
+    return text if sys.version_info < (3, 13) else " ".join(text.split())
+
+
+def _pinned(runs, key):
+    return {command: (run["exit_code"], key(run["stdout"])) for command, run in runs.items()}
+
+
 def main(args=None) -> int:
-    parser = argparse.ArgumentParser(description="Replay the golden CLI runs against golden_cli.json, or rewrite it.")
+    parser = argparse.ArgumentParser(description="Replay the golden CLI runs and help texts against their pins, or rewrite them.")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="list each command whose exit code or stdout differs")
-    mode.add_argument("--write", action="store_true", help="rewrite golden_cli.json from this checkout's output")
+    mode.add_argument("--write", action="store_true", help="rewrite the pins from this checkout's output")
     options = parser.parse_args(args)
-    runs = {}
-    for argv in _golden_argvs():
-        code, out = _golden_run(argv)
-        runs[" ".join(argv)] = {"exit_code": code, "stdout": out}
-    if options.write:
-        GOLDEN_PATH.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {len(runs)} golden runs to {GOLDEN_PATH.name}")
-        return 0
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    commands = golden.keys() | runs.keys()
-    differing = sorted(command for command in commands if golden.get(command) != runs.get(command))
+    differing = []
+    for path, argvs, run, key, kind in (
+        (GOLDEN_PATH, _golden_argvs(), _golden_run, lambda text: text, "golden runs"),
+        (HELP_PATH, _help_argvs(), _help_run, help_text_key, "help texts"),
+    ):
+        runs = {}
+        for argv in argvs:
+            code, out = run(argv)
+            runs[" ".join(argv)] = {"exit_code": code, "stdout": out}
+        if options.write:
+            path.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+            print(f"wrote {len(runs)} {kind} to {path.name}")
+            continue
+        expected, actual = _pinned(json.loads(path.read_text(encoding="utf-8")), key), _pinned(runs, key)
+        commands = expected.keys() | actual.keys()
+        mismatched = sorted(command for command in commands if expected.get(command) != actual.get(command))
+        differing += mismatched
+        print(f"{len(commands) - len(mismatched)} of {len(commands)} {kind} match")
     for command in differing:
         print(f"differs: {command}")
-    print(f"{len(commands) - len(differing)} of {len(commands)} golden runs match")
     return 1 if differing else 0
 
 

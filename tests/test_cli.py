@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,18 @@ import pytest
 
 from aurea.cli import main
 from aurea.exact import decimal_str, parse_rational
-from golden import GOLDEN_COMMANDS, GOLDEN_PATH, GOLDEN_SEEDS, SRC, _golden_argvs, _golden_run
+from golden import (
+    GOLDEN_COMMANDS,
+    GOLDEN_PATH,
+    GOLDEN_SEEDS,
+    HELP_PATH,
+    SRC,
+    _golden_argvs,
+    _golden_run,
+    _help_argvs,
+    _help_run,
+    help_text_key,
+)
 
 
 def run_cli(capsys, argv):
@@ -306,6 +318,14 @@ def test_golden_output(argv):
     assert code == expected["exit_code"]
 
 
+@pytest.mark.parametrize("argv", _help_argvs(), ids=" ".join)
+def test_help_text(argv):
+    expected = json.loads(HELP_PATH.read_text(encoding="utf-8"))[" ".join(argv)]
+    code, out = _help_run(argv)
+    assert help_text_key(out) == help_text_key(expected["stdout"])
+    assert code == expected["exit_code"] == 0
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -372,3 +392,54 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, leaf, fmt):
 def test_importing_the_package_loads_no_module(tmp_path):
     code = "import sys, aurea; sys.stderr.write('modules: ' + ' '.join(sys.modules))"
     assert {name for name in _modules_loaded(["-c", code], tmp_path) if name.startswith("aurea")} == {"aurea"}
+
+
+# Exit codes over all 13 leaves, each run built from the leaf's golden command:
+# dropping a required flag or adding an unknown one exits 3 and names the flag;
+# dropping any other flag the golden command gives still succeeds.
+
+REQUIRED_FLAGS = {
+    "horadam": "--w0 --w1 --p --q --n",
+    "riccati solve": "--p --q --branch --x0 --n",
+    "riccati orbit": "--p --q --branch --x0 --n",
+    "riccati forbidden": "--p --q --branch --depth",
+    "riccati classify": "--p --q --branch --depth --surd",  # one of --x0 and --surd
+    "riccati subst-check": "--p --q --t0 --t1 --n",
+    "limits certificate": "--f0 --fk --eps",
+    "limits rho": "--r --s",
+    "limits cf": "--m",
+    "limits estimate": "--r --s --parity --direction --n",
+    "fibfunc extend": "--seed-file --nmin --nmax",
+    "fibfunc trace": "--seed-file",
+    "fibfunc verify": "--seed-file --eps",
+}
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    for name, text in GOLDEN_SEEDS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+def _error_words(err):
+    """The words of the last stderr line; the usage line above it names every flag."""
+    return err.splitlines()[-1].replace(",", " ").split()
+
+
+@pytest.mark.parametrize("leaf", sorted(LEAF_COMMANDS))
+def test_dropped_required_flag_and_unknown_flag_exit_3(capsys, golden_dir, leaf):
+    words, *flags = LEAF_COMMANDS[leaf].split(" --")
+    flags = ["--" + flag for flag in flags]  # "--n 0..7", "--q=-1", "--fast"
+    names = [re.split("[ =]", flag)[0] for flag in flags]
+    required = REQUIRED_FLAGS[leaf].split()
+    assert set(required) <= set(names)
+    for index, name in enumerate(names):
+        argv = [*words.split(), *(word for flag in flags[:index] + flags[index + 1:] for word in flag.split())]
+        code, out, err = run_cli(capsys, argv)
+        if name in required:
+            assert (code, out) == (3, "") and name in _error_words(err), argv
+        else:
+            assert code == 0, argv
+    code, out, err = run_cli(capsys, [*LEAF_COMMANDS[leaf].split(), "--bogus"])
+    assert (code, out) == (3, "") and "--bogus" in _error_words(err)
