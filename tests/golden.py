@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 HELP_PATH = Path(__file__).with_name("golden_help.json")
@@ -101,15 +102,8 @@ def _golden_run(argv):
 def _help_run(argv):
     """(exit code, stdout) of one `--help` run at 80 columns: argparse wraps help
     to the width it reads from COLUMNS, so a pinned text must fix it."""
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         return _golden_run(argv)
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
 
 
 def help_text_key(text):
@@ -124,7 +118,9 @@ def _pinned(runs, key):
 
 
 def main(args=None) -> int:
-    parser = argparse.ArgumentParser(description="Replay the golden CLI runs and help texts against their pins, or rewrite them.")
+    parser = argparse.ArgumentParser(
+        description="Replay the golden CLI runs and help texts against their pins, or rewrite them."
+    )
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="list each command whose exit code or stdout differs")
     mode.add_argument("--write", action="store_true", help="rewrite the pins from this checkout's output")

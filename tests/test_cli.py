@@ -210,9 +210,32 @@ def test_digits_out_of_range_exits_3(capsys, digits, top_level):
     assert code == 3 and not out and "--digits" in err
 
 
-def test_bad_rational_exits_3(capsys):
-    code, _, err = run_cli(capsys, ["horadam", "--w0", "zero", "--w1", "1", "--p", "1", "--q", "1", "--n", "3"])
-    assert code == 3 and "invalid rational" in err
+@pytest.mark.parametrize(
+    "w0, n, message",
+    [
+        ("zero", "3", "invalid rational literal 'zero'"),
+        ("0", "x", "--n must be an index or an inclusive range like 0..7, got 'x'"),
+        ("0", "1..x", "--n must be an index or an inclusive range like 0..7, got '1..x'"),
+    ],
+    ids=["w0", "n", "n-range"],
+)
+def test_bad_rational_exits_3(capsys, w0, n, message):
+    code, _, err = run_cli(capsys, ["horadam", "--w0", w0, "--w1", "1", "--p", "1", "--q", "1", "--n", n])
+    assert (code, err) == (3, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("riccati orbit --p 0 --q 1 --branch plus --x0 zz --n 3", "invalid rational literal 'zz'"),
+        ("riccati classify --p 0 --q 1 --branch plus --surd=1,1,0 --depth 3", "radicand must be a positive integer, got 0"),
+        ("limits estimate --r -1 --s 1 --parity standard --direction forward --n 3 --seed0 x", "invalid rational literal 'x'"),
+        ("horadam --w0 0 --w1 1 --p 1 --q 0 --n x", "--n must be an index or an inclusive range like 0..7, got 'x'"),
+    ],
+)
+def test_malformed_literal_exits_3_before_a_domain_condition(capsys, command, message):
+    """Each command also has a flag out of domain (p = 0, r < 0, q = 0): argument errors come first."""
+    assert run_cli(capsys, command.split()) == (3, "", f"error: {message}\n")
 
 
 def test_unknown_option_exits_3(capsys):
