@@ -31,6 +31,7 @@ names handlers, never library objects, for the same reason.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -69,12 +70,25 @@ def _parse_surd(text: str) -> QuadraticSurd:
     return QuadraticSurd(a, b, int(d))
 
 
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An ASCII integer literal [+-]?[0-9]+; int() alone also takes "1_0", spaces and non-ASCII digits."""
+    if not _INT_LITERAL.fullmatch(text):
+        raise ValueError(f"invalid int literal {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its message: "invalid int value: '1_0'"
+
+
 def _parse_index_range(text: str) -> tuple[int, int]:
     """`--n`: either a single index "7" or an inclusive range "0..7"; returns (start, count)."""
     lo_text, dots, hi_text = text.partition("..")
     try:
-        lo = int(lo_text)
-        hi = int(hi_text) if dots else lo
+        lo = _int(lo_text)
+        hi = _int(hi_text) if dots else lo
     except ValueError:
         raise ValueError(f"--n must be an index or an inclusive range like 0..7, got {text!r}") from None
     if hi < lo:
@@ -294,9 +308,9 @@ def _cmd_fibfunc_verify(args, params) -> list[dict]:
 # ---------------------------------------------------------------------------
 # the command table
 
-# Flag kinds: argparse checks an int or a choice (a list of words) and sets a
-# SWITCH to True when given; `main` parses a RATIONAL or SURD itself, after
-# argparse and in row order; a str stays text.
+# Flag kinds: argparse checks an int (an ASCII literal, through `_int`) or a
+# choice (a list of words) and sets a SWITCH to True when given; `main` parses
+# a RATIONAL or SURD itself, after argparse and in row order; a str stays text.
 RATIONAL, SURD = parse_rational, _parse_surd
 SWITCH = object()
 # Defaults that are not values: the flag must be given, or exactly one of the
@@ -362,7 +376,7 @@ _COMMANDS = {
 def _output_flags(parser: argparse.ArgumentParser, format_default, digits_default) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default=format_default,
                         help="output format (default json)")
-    parser.add_argument("--digits", type=int, default=digits_default,
+    parser.add_argument("--digits", type=_int, default=digits_default,
                         help="decimal digits for rendered values (default 12)")
 
 
@@ -396,7 +410,7 @@ def build_parser() -> _Parser:
             elif isinstance(kind, list):
                 options["choices"] = kind
             elif kind is int:
-                options["type"] = int
+                options["type"] = _int
             target = leaf
             if default is EITHER:
                 either = either or leaf.add_mutually_exclusive_group(required=True)

@@ -39,8 +39,14 @@ infinite point, reporting its index.  A coprime pair's image shares only
 factors of the small determinant, so each step reduces by one gcd against
 it, and `exact._from_coprime` builds each reduced Fraction without a gcd.
 t(k)/t(k+1) of a recurrence is the orbit of (0, 1, B, A); `ratios` steps
-(A, B, 1, 0) without end.  A window term w(k)/(E*D**k) has no such small
-bound on its common factor, so `terms` reduces each with a full gcd.
+(A, B, 1, 0) without end.
+
+A window needs one gcd of two big ints, for its first term.  `_run` then
+steps a content-free int vector (a, b, c) with u(k) = a/c, u(k+1) = b/c,
+under the same cleared recurrence, and keeps two invariants with gcds that
+each have one small operand: the content a step adds divides Q = B*D**2, so
+one gcd against |Q| removes it; and c divides a power of E*D, so the common
+factor of a term a/c divides one too, and gcds against E*D strip it.
 """
 
 from __future__ import annotations
@@ -150,14 +156,53 @@ def _start(A, B, a, b, lo: int) -> tuple[int, int, int, int, int, int]:
     return P, Q, x, y, E * D**lo, D
 
 
+def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0 whose primes all divide m, by gcds against the small m.
+
+    A common factor t is stripped as its largest power t**(2**j) that divides
+    both, so the rounds stay logarithmic in the common factor's size.
+    """
+    if not n:
+        return 0, 1
+    t = gcd(m, n, d)
+    while t > 1:
+        s = t * t
+        while not (n % s or d % s):
+            t, s = s, s * s
+        n, d = n // t, d // t
+        t = gcd(m, n, d)
+    return n, d
+
+
 def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) for 0 <= lo <= hi, one reduced Fraction per term, stepped from `_start`."""
+    """u(lo) .. u(hi) for 0 <= lo <= hi, stepped from `_start` as a content-free vector.
+
+    The first term is Fraction(w(lo), E*D**lo), the one full gcd of the run.
+    Then (a, b, c) with u(k) = a/c and u(k+1) = b/c steps to
+    (b*D, P*b + (Q/D)*a, c*D).  The step's matrix has determinant -Q*D, but
+    a prime power that divides the new content and D also divides Q, so a
+    content-free vector's image has content dividing Q, and one gcd against
+    |Q| keeps it content-free.  c divides a power of E*D, so the common factor
+    of a term a/c divides a power of E*D too, and `_coprime` strips it.
+    """
     P, Q, x, y, den, D = _start(A, B, a, b, lo)
-    values = [Fraction(x, den)]
+    first = Fraction(x, den)
+    if hi == lo:
+        return [first]
+    m = lcm(a.denominator, b.denominator) * D  # E*D
+    # (x*D, y, den*D) has content gcd(y, D*gcd(x, den)); the first term found gcd(x, den)
+    g = D * (den // first.denominator)
+    b, h = _coprime(y, g, m)
+    g //= h
+    a, c = x * D // g, den * D // g
+    QD, q = Q // D, abs(Q)
+    values = [first]
     for _ in range(hi - lo):
-        x, y = y, P * y + Q * x
-        den *= D
-        values.append(Fraction(x, den))
+        a, b, c = b * D, P * b + QD * a, c * D
+        g = gcd(q, a, b, c)
+        if g > 1:
+            a, b, c = a // g, b // g, c // g
+        values.append(_from_coprime(*_coprime(a, c, m)))
     return values
 
 

@@ -238,6 +238,39 @@ def test_malformed_literal_exits_3_before_a_domain_condition(capsys, command, me
     assert run_cli(capsys, command.split()) == (3, "", f"error: {message}\n")
 
 
+HORADAM = ["horadam", "--w0", "0", "--w1", "1", "--p", "1", "--q", "-1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["limits", "cf", "--m", "1_0"], "--m"),
+        (["limits", "cf", "--m", "\u0661\u0660"], "--m"),  # Arabic-Indic 10
+        (["limits", "cf", "--m", " 10"], "--m"),
+        (["limits", "cf", "--m", "10", "--digits", "1_2"], "--digits"),
+        (["riccati", "orbit", "--p", "1", "--q", "1", "--branch", "plus", "--x0", "1/2", "--n", "1_0"], "--n"),
+        (["riccati", "forbidden", "--p", "1", "--q", "1", "--branch", "plus", "--depth", "\uff13"], "--depth"),  # fullwidth 3
+        (["fibfunc", "trace", "--seed-file", "unread.json", "--nmax", "3_2"], "--nmax"),
+        (HORADAM + ["--n", "1_0"], "--n"),
+        (HORADAM + ["--n", "\u0663..\u0665"], "--n"),  # Arabic-Indic 3..5
+        (HORADAM + ["--n", "3..1_0"], "--n"),
+        (HORADAM + ["--n", "3.. 5"], "--n"),
+    ],
+    ids=["underscore", "arabic-indic", "space", "digits", "riccati-n", "fullwidth", "fibfunc", "horadam-index",
+         "horadam-range", "horadam-range-end", "horadam-space"],
+)
+def test_integer_flags_take_only_ascii_digits(capsys, argv, flag):
+    """int() would read each of these as a number; an integer flag takes [+-]?[0-9]+ only, and names itself."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and not out and flag in err
+
+
+def test_signed_ascii_integers_still_parse(capsys):
+    assert run_json(capsys, ["limits", "cf", "--m", "+3"])[0]["params"]["m"] == 3
+    record = run_json(capsys, HORADAM + ["--n=-3..+2"])[0]
+    assert record["result"]["start"] == -3 and len(record["result"]["terms"]) == 6
+
+
 def test_unknown_option_exits_3(capsys):
     code, _, err = run_cli(capsys, ["limits", "cf", "--m", "3", "--bogus"])
     assert code == 3

@@ -79,13 +79,20 @@ def _canonical(value):
 @given(A=rationals, B=nonzero, a=rationals, b=rationals, n=index, m=index)
 @example(A=Fraction(2, 3), B=Fraction(-5, 9), a=Fraction(1, 4), b=Fraction(-5, 6), n=-150, m=150)
 @example(A=Fraction(-7, 2), B=Fraction(3, 8), a=Fraction(-3, 4), b=Fraction(1, 6), n=-1, m=0)
+@example(A=Fraction(0), B=Fraction(1, 2), a=Fraction(0), b=Fraction(1), n=-120, m=150)  # A = 0: every even u(k) = 0
+@example(A=Fraction(0), B=Fraction(-9, 4), a=Fraction(5, 6), b=Fraction(0), n=37, m=150)  # every odd u(k) = 0
+@example(A=Fraction(3, 2), B=Fraction(2, 5), a=Fraction(1, 1000003), b=Fraction(5, 7), n=-150, m=150)  # a large prime in E
+@example(A=Fraction(7, 3), B=Fraction(-5, 2), a=Fraction(1, 4), b=Fraction(5, 6), n=-150, m=150)  # 2 divides P and Q
+@example(A=Fraction(7, 3), B=Fraction(-5, 2), a=Fraction(1, 4), b=Fraction(5, 6), n=97, m=97)  # a 1-term window
+@example(A=Fraction(7, 3), B=Fraction(-5, 2), a=Fraction(1, 4), b=Fraction(5, 6), n=-98, m=-97)  # a 2-term window
+@example(A=Fraction(0), B=Fraction(1, 6), a=Fraction(0), b=Fraction(1), n=100, m=101)  # a 2-term window from u = 0
 def test_walk_and_terms_match_the_fraction_stepper(A, B, a, b, n, m):
     lo, hi = min(n, m), max(n, m)
     ref = reference(A, B, a, b, lo, hi)
     assert walk(A, B, a, b, n) == (ref[n], ref[n + 1])
     values = terms(A, B, a, b, lo, hi)
     assert values == [ref[k] for k in range(lo, hi + 1)]
-    assert all(type(value) is Fraction for value in values)
+    assert all(_canonical(value) for value in values)
 
 
 @PROPERTY
@@ -645,7 +652,8 @@ PER_STEP_RUNS = {
     "ratio_trace": lambda n: len(ratio_trace(ODD_SEED, 0, -n, n).ratios) == 2 * n + 1,
     "substitution_check": lambda n: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n).passed,
 }
-# the windows these runs read reduce each term with a full gcd, as `terms` does by design
+# the windows these runs read: each builds its first term through Fraction's gcd and
+# reduces the rest with small gcds of its own, counted per term by the window guards below
 WINDOWS = [(riccati, "terms"), (riccati, "lucas_window"), (fibfunc, "terms")]
 
 
@@ -661,12 +669,16 @@ def _memoized(function):
     return lookup
 
 
+def _memoize_windows(monkeypatch):
+    for module, window in WINDOWS:
+        monkeypatch.setattr(module, window, _memoized(getattr(module, window)))
+
+
 @pytest.mark.parametrize("name", sorted(PER_STEP_RUNS))
 def test_ratio_streams_build_no_fraction_per_step(monkeypatch, name):
     """The Fraction count is the same at n = 50 and n = 500: no step builds one through the gcd."""
     run = PER_STEP_RUNS[name]
-    for module, window in WINDOWS:
-        monkeypatch.setattr(module, window, _memoized(getattr(module, window)))
+    _memoize_windows(monkeypatch)
     assert run(50) and run(500)  # and fills the windows' caches
     counts = [_fractions_built(monkeypatch, lambda: run(n)) for n in (50, 500)]
     assert counts[0] == counts[1]
@@ -694,13 +706,54 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     n ratios read n pairs, x0 .. xn read n + 1 and the closed form's x1 .. xn
     read n; ratio_trace over [0, n] reads n + 1, and substitution_check reads
     n + 1 for its ratio stream and n + 1 for the orbit it is checked against.
+    The windows ratio_trace and substitution_check read are memoized and
+    filled first, so only the pair steps are counted.
     """
 
     def stream():
         return list(islice(ratios(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6)), n))
 
+    _memoize_windows(monkeypatch)
+    ratio_trace(ODD_SEED, 0, 0, n)
+    substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)
     assert _gcds_run(monkeypatch, stream) == n
     assert _gcds_run(monkeypatch, lambda: iterate_orbit(MINUS_MAP, Fraction(1, 2), n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n
     assert _gcds_run(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, 0, n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 2 * n + 2
+
+
+WINDOW_RUNS = {
+    "lucas_window(0, 1/2)": lambda n: lucas_window(0, Fraction(1, 2), 0, n),
+    "lucas_window(0, 1/6)": lambda n: lucas_window(0, Fraction(1, 6), 0, n),
+    "lucas_window(0, 1/2) far out": lambda n: lucas_window(0, Fraction(1, 2), n, 2 * n),
+    "lucas_window(1/2, 1/4)": lambda n: lucas_window(Fraction(1, 2), Fraction(1, 4), 0, n),
+    "terms(7/3, -5/2) across 0": lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), -n // 2, n // 2),
+    "terms(3/2, 2/5) from 1/1000003": lambda n: terms(Fraction(3, 2), Fraction(2, 5), Fraction(1, 1000003), Fraction(5, 7), 0, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_RUNS))
+def test_window_terms_take_a_bounded_number_of_small_gcds(monkeypatch, name):
+    """Every horadam gcd in a window has an operand of at most 64 bits, and their number per term does not grow with n.
+
+    The first term is reduced by Fraction's own gcd; the rest step a
+    content-free vector and strip each term's common factor, a power of the
+    small E*D.  Without the short-cut for a zero term, or without either
+    division that keeps the vector content-free, the count per term grows by
+    about a fifth from n = 500 to n = 4000 on the A = 0 windows.
+    """
+    run = WINDOW_RUNS[name]
+    per_term = [_gcds_run(monkeypatch, lambda: run(n)) / n for n in (500, 4000)]
+    assert per_term[1] <= 1.05 * per_term[0]
+
+
+@pytest.mark.parametrize("e", [1, 7, 1000, 4097])
+def test_coprime_strips_a_common_factor_in_logarithmically_many_rounds(monkeypatch, e):
+    """6**e is stripped as its largest square-power factors, one gcd per round, not one round per 6."""
+    reduced = []
+    calls = _gcds_run(monkeypatch, lambda: reduced.append(horadam._coprime(5 * 6**e, 2**e * 3 ** (2 * e), 6)))
+    assert reduced == [(5, 3**e)]
+    assert calls <= e.bit_length() + 1
+    assert _gcds_run(monkeypatch, lambda: reduced.append(horadam._coprime(0, 6**e, 6))) == 0
+    assert reduced[1] == (0, 1)
