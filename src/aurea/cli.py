@@ -83,8 +83,8 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names the type in its message: "invalid int value: '1_0'"
 
 
-def _parse_index_range(text: str) -> tuple[int, int]:
-    """`--n`: either a single index "7" or an inclusive range "0..7"; returns (start, count)."""
+def _parse_index_range(text: str) -> tuple[int, int, str]:
+    """`--n`: either a single index "7" or an inclusive range "0..7"; returns (start, count, canonical text)."""
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo = _int(lo_text)
@@ -93,7 +93,7 @@ def _parse_index_range(text: str) -> tuple[int, int]:
         raise ValueError(f"--n must be an index or an inclusive range like 0..7, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty index range {text!r}")
-    return lo, hi - lo + 1
+    return lo, hi - lo + 1, f"{lo}..{hi}" if dots else str(lo)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def _emit(records: list[dict], fmt: str) -> str:
 def _cmd_horadam(args, params) -> dict:
     from .horadam import RecurrenceParams, window
 
-    start, count = _parse_index_range(args.n)  # before the library runs, like the table's literals
+    start, count, params["n"] = _parse_index_range(args.n)  # before the library runs; echoed as parsed
     return {"start": start, "terms": window(RecurrenceParams(args.w0, args.w1, args.p, args.q), start, count).values}
 
 

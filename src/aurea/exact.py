@@ -1,12 +1,12 @@
 """Exact arithmetic substrate: arbitrary-precision rationals and quadratic surds.
 
-Rationals are plain `fractions.Fraction` values (always stored fully reduced
-with a positive denominator); this module adds the canonical "num/den" wire
-format plus exact arithmetic, sign evaluation and decimal rendering for
-elements a + b*sqrt(d) of a real quadratic field.  Each arithmetic operator
-reads its operands as parts and builds only its result; orderings and
-`abs_lt`/`abs_le` build no surd, and a power is one walk of the `horadam`
-kernel (see `__pow__`).
+Rationals are plain reduced `fractions.Fraction` values; this module adds
+their canonical "num/den" wire format, and exact arithmetic, sign evaluation
+and decimal rendering for elements a + b*sqrt(d) of a real quadratic field.
+Each arithmetic operator reads its operands as parts and builds only its
+result; orderings and `abs_lt`/`abs_le` build no surd, and a power is one walk
+of the `horadam` kernel (see `__pow__`).  `_Record` is the one base of every
+library value type, `QuadraticSurd` included.
 """
 
 from __future__ import annotations
@@ -49,15 +49,30 @@ class DomainError(Exception):
 class _Record:
     """Immutable value over the fields its subclass annotates, in order.
 
-    `==`, `hash` and `repr` read those fields the way a frozen dataclass's
-    do.  A subclass's `__init__` validates its arguments and stores the
-    fields, and any attribute derived from them, with `self.__dict__.update`;
-    a derived attribute is not annotated, so it takes no part in `==`,
-    `hash` or `repr`.  Assignment and deletion raise AttributeError.
+    The constructor binds arguments to the fields as a written signature
+    would; a value on an annotation line, such as `depth: int | None = None`,
+    is that field's default.  `==`, `hash` and `repr` read the fields the way
+    a frozen dataclass's do.  A type that converts or validates its arguments
+    (`RecurrenceParams`, `RiccatiParams`, `RatioParams`, `PeriodicSeed`,
+    `QuadraticSurd`) writes its own `__init__` and stores its fields, and any
+    derived attribute (unannotated, so outside `==`, `hash` and `repr`), with
+    `self.__dict__.update`.  Assignment and deletion raise AttributeError.
     """
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        named = fields[len(args):]  # the fields a keyword may still give
+        if len(args) > len(fields) or len(values) < len(fields) or not set(named).issuperset(kwargs):
+            unknown = [name for name in kwargs if name not in named]
+            missing = [name for name in fields if name not in values]
+            raise TypeError(f"{type(self).__qualname__}({', '.join(fields)}) got {len(args)} positional arguments, "
+                            f"unknown or repeated keywords {unknown}, missing {missing}")
+        self.__dict__.update(values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -174,7 +189,7 @@ def _int_sign(p: int, q: int, d: int) -> int:
     return -sign_q if p * p > q * q * d else sign_q
 
 
-class QuadraticSurd:
+class QuadraticSurd(_Record):
     """Exact element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
     The radicand is reduced to its square-free part on construction; when the
@@ -183,7 +198,9 @@ class QuadraticSurd:
     one side is rational-valued.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    a: Fraction
+    b: Fraction
+    d: int
 
     def __init__(self, a: Fraction | int | str, b: Fraction | int | str = 0, d: int = 2) -> None:
         a, b = as_rational(a), as_rational(b)
@@ -195,38 +212,26 @@ class QuadraticSurd:
             a, b = a + b, Fraction(0)
         if b == 0:
             d = 2
-        self._a, self._b, self._d = a, b, d
-
-    @property
-    def a(self) -> Fraction:
-        return self._a
-
-    @property
-    def b(self) -> Fraction:
-        return self._b
-
-    @property
-    def d(self) -> int:
-        return self._d
+        self.__dict__.update(a=a, b=b, d=d)
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self.b == 0
 
     def as_fraction(self) -> Fraction:
-        if self._b != 0:
+        if self.b != 0:
             raise DomainError(f"{self} is irrational")
-        return self._a
+        return self.a
 
     def to_record(self) -> dict:
         """Serialisable form: rational parts as "num/den" strings plus the radicand."""
-        return {"a": format_rational(self._a), "b": format_rational(self._b), "d": self._d}
+        return {"a": format_rational(self.a), "b": format_rational(self.b), "d": self.d}
 
     def conjugate(self) -> QuadraticSurd:
-        return QuadraticSurd(self._a, -self._b, self._d)
+        return QuadraticSurd(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
-        return self._a * self._a - self._b * self._b * self._d
+        return self.a * self.a - self.b * self.b * self.d
 
     def sign(self) -> int:
         """Exact sign, decided in integers without floating point."""
@@ -243,7 +248,7 @@ class QuadraticSurd:
         if parts is None:
             return None
         c, e, d = parts
-        a, b = self._a, self._b
+        a, b = self.a, self.b
         ad, bd, cd, ed = a.denominator, b.denominator, c.denominator, e.denominator
         p = (a.numerator * cd - c.numerator * ad) * bd * ed
         return _int_sign(p, (b.numerator * ed - e.numerator * bd) * ad * cd, d)
@@ -251,27 +256,27 @@ class QuadraticSurd:
     def _parts(self, other: object) -> tuple[Fraction | int, Fraction | int, int] | None:
         """(a, b, d) of a surd, int or Fraction operand, d the field it shares with self; None for any other type."""
         if isinstance(other, QuadraticSurd):
-            return other._a, other._b, self._common_radicand(other)
+            return other.a, other.b, self._common_radicand(other)
         if isinstance(other, (int, Fraction)):
-            return other, 0, self._d
+            return other, 0, self.d
         return None
 
     def _common_radicand(self, other: QuadraticSurd) -> int:
-        if self._b != 0 and other._b != 0 and self._d != other._d:
-            raise DomainError(f"incompatible radicands {self._d} and {other._d}")
-        return other._d if self._b == 0 else self._d
+        if self.b != 0 and other.b != 0 and self.d != other.d:
+            raise DomainError(f"incompatible radicands {self.d} and {other.d}")
+        return other.d if self.b == 0 else self.d
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self._b == 0 and self._a == other
+            return self.b == 0 and self.a == other
         if not isinstance(other, QuadraticSurd):
             return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
 
     def __lt__(self, other: object) -> bool:
         sign = self._sign_minus(other)
@@ -290,7 +295,7 @@ class QuadraticSurd:
         return NotImplemented if sign is None else sign >= 0
 
     def __neg__(self) -> QuadraticSurd:
-        return QuadraticSurd(-self._a, -self._b, self._d)
+        return QuadraticSurd(-self.a, -self.b, self.d)
 
     def __abs__(self) -> QuadraticSurd:
         return -self if self.sign() < 0 else self
@@ -300,7 +305,7 @@ class QuadraticSurd:
         if parts is None:
             return NotImplemented
         a, b, d = parts
-        return QuadraticSurd(self._a + a, self._b + b, d)
+        return QuadraticSurd(self.a + a, self.b + b, d)
 
     __radd__ = __add__
 
@@ -309,21 +314,21 @@ class QuadraticSurd:
         if parts is None:
             return NotImplemented
         a, b, d = parts
-        return QuadraticSurd(self._a - a, self._b - b, d)
+        return QuadraticSurd(self.a - a, self.b - b, d)
 
     def __rsub__(self, other: object) -> QuadraticSurd:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
         a, b, d = parts
-        return QuadraticSurd(a - self._a, b - self._b, d)
+        return QuadraticSurd(a - self.a, b - self.b, d)
 
     def __mul__(self, other: object) -> QuadraticSurd:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
         a, b, d = parts
-        return QuadraticSurd(self._a * a + self._b * b * d, self._a * b + self._b * a, d)
+        return QuadraticSurd(self.a * a + self.b * b * d, self.a * b + self.b * a, d)
 
     __rmul__ = __mul__
 
@@ -331,14 +336,14 @@ class QuadraticSurd:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        return _quotient(self._a, self._b, *parts)
+        return _quotient(self.a, self.b, *parts)
 
     def __rtruediv__(self, other: object) -> QuadraticSurd:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
         a, b, d = parts
-        return _quotient(a, b, self._a, self._b, d)
+        return _quotient(a, b, self.a, self.b, d)
 
     def __pow__(self, exponent: int) -> QuadraticSurd:
         """x**n = U(n)*x - N*U(n-1) with N the norm and U(0), U(1) = 0, 1, U(k+2) = 2a*U(k+1) - N*U(k)."""
@@ -350,20 +355,20 @@ class QuadraticSurd:
                 raise ZeroDivisionError("division by zero surd")
             return QuadraticSurd(1 if exponent == 0 else 0)
         from .horadam import walk  # deferred: horadam imports this module
-        u_prev, u = walk(2 * self._a, -n, 0, 1, exponent - 1)
-        return QuadraticSurd(u * self._a - n * u_prev, u * self._b, self._d)
+        u_prev, u = walk(2 * self.a, -n, 0, 1, exponent - 1)
+        return QuadraticSurd(u * self.a - n * u_prev, u * self.b, self.d)
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * sqrt(self._d)
+        return float(self.a) + float(self.b) * sqrt(self.d)
 
     def __repr__(self) -> str:
-        return f"QuadraticSurd({self._a}, {self._b}, {self._d})"
+        return f"QuadraticSurd({self.a}, {self.b}, {self.d})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        op = "+" if self._b > 0 else "-"
-        return f"{self._a} {op} {abs(self._b)}*sqrt({self._d})"
+        if self.b == 0:
+            return str(self.a)
+        op = "+" if self.b > 0 else "-"
+        return f"{self.a} {op} {abs(self.b)}*sqrt({self.d})"
 
 
 def _quotient(a, b, c, e, d: int) -> QuadraticSurd:

@@ -69,12 +69,8 @@ class LatticeTrace(_Record):
     offset: Fraction
     n_start: int
     values: tuple[Fraction, ...]
-    ratios: tuple[Fraction, ...] | None
-    ratio_undefined_at: int | None
-
-    def __init__(self, offset, n_start, values, ratios=None, ratio_undefined_at=None) -> None:
-        self.__dict__.update(offset=offset, n_start=n_start, values=values, ratios=ratios,
-                             ratio_undefined_at=ratio_undefined_at)
+    ratios: tuple[Fraction, ...] | None = None
+    ratio_undefined_at: int | None = None
 
     def value_at(self, n: int) -> Fraction:
         """f(ξ + n*k); an n outside the trace is refused, not read from the other end."""
@@ -130,11 +126,7 @@ class OffsetReport(_Record):
     first_step: int | None
     ratio: Fraction | None
     horizon: int
-    certificate: ConvergenceCertificate | None
-
-    def __init__(self, offset, target, epsilon, first_step, ratio, horizon, certificate=None) -> None:
-        self.__dict__.update(offset=offset, target=target, epsilon=epsilon, first_step=first_step, ratio=ratio,
-                             horizon=horizon, certificate=certificate)
+    certificate: ConvergenceCertificate | None = None
 
     @property
     def converged(self) -> bool:

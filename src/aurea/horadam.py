@@ -100,9 +100,6 @@ class SequenceWindow(_Record):
     start: int
     values: tuple[Fraction, ...]
 
-    def __init__(self, start, values) -> None:
-        self.__dict__.update(start=start, values=values)
-
 
 def clear(A, B, a, b) -> tuple[int, int, int, int, int, int]:
     """Integer form (P, Q, w(0), w(1), E, D) of u(k+2) = A*u(k+1) + B*u(k) from (a, b).

@@ -109,9 +109,6 @@ class ConvergenceCertificate(_Record):
     epsilon: Fraction
     N: int
 
-    def __init__(self, M, c, epsilon, N) -> None:
-        self.__dict__.update(M=M, c=c, epsilon=epsilon, N=N)
-
     def tail_bound(self, n: int) -> Fraction:
         if n < 2:
             raise ValueError("the tail bound starts at index 2")
@@ -190,11 +187,7 @@ class LimitEstimate(_Record):
     steps: int
     ratio: Fraction
     target: QuadraticSurd
-    claimed: QuadraticSurd | None
-
-    def __init__(self, params, direction, steps, ratio, target, claimed=None) -> None:
-        self.__dict__.update(params=params, direction=direction, steps=steps, ratio=ratio, target=target,
-                             claimed=claimed)
+    claimed: QuadraticSurd | None = None
 
 
 def limit_estimate(
@@ -240,9 +233,6 @@ class NestingReport(_Record):
     n_max: int
     convergent_failures: tuple[int, ...]
     ordering_failures: tuple[int, ...]
-
-    def __init__(self, n_max, convergent_failures, ordering_failures) -> None:
-        self.__dict__.update(n_max=n_max, convergent_failures=convergent_failures, ordering_failures=ordering_failures)
 
     @property
     def passed(self) -> bool:

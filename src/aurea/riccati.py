@@ -87,10 +87,7 @@ class Classification(_Record):
     """Status of an initial value: regular, fixed_point, or forbidden at a finite depth."""
 
     kind: str
-    depth: int | None
-
-    def __init__(self, kind, depth=None) -> None:
-        self.__dict__.update(kind=kind, depth=depth)
+    depth: int | None = None
 
     def label(self) -> str:
         if self.kind == "forbidden":
@@ -106,9 +103,6 @@ class OrbitReport(_Record):
     trajectory: tuple[Fraction, ...]
     pole_step: int | None
     classification: Classification
-
-    def __init__(self, trajectory, pole_step, classification) -> None:
-        self.__dict__.update(trajectory=trajectory, pole_step=pole_step, classification=classification)
 
     @property
     def completed(self) -> bool:
@@ -206,10 +200,6 @@ class SubstitutionReport(_Record):
     orbit_matches: tuple[bool, ...]
     closed_form_matches: tuple[bool, ...]
     pole_step: int | None
-
-    def __init__(self, t_values, ratio_values, orbit_matches, closed_form_matches, pole_step) -> None:
-        self.__dict__.update(t_values=t_values, ratio_values=ratio_values, orbit_matches=orbit_matches,
-                             closed_form_matches=closed_form_matches, pole_step=pole_step)
 
     status = OrbitReport.status  # one formatter for every run that may meet the pole
 

@@ -269,6 +269,8 @@ def test_signed_ascii_integers_still_parse(capsys):
     assert run_json(capsys, ["limits", "cf", "--m", "+3"])[0]["params"]["m"] == 3
     record = run_json(capsys, HORADAM + ["--n=-3..+2"])[0]
     assert record["result"]["start"] == -3 and len(record["result"]["terms"]) == 6
+    assert record["params"]["n"] == "-3..2"
+    assert run_json(capsys, HORADAM + ["--n", "03"])[0]["params"]["n"] == "3"
 
 
 def test_unknown_option_exits_3(capsys):

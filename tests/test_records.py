@@ -151,3 +151,28 @@ def test_derived_attributes_stay_out_of_equality_and_repr(make, derived):
         assert f"{name}=" not in repr(value)
         object.__setattr__(twin, name, 0)
     assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=[case[0].__name__ for case in CASES])
+def test_constructor_refuses_what_a_written_signature_refuses(cls, fields, changed, text):
+    first, *_ = fields
+    values = list(fields.values())
+    bad_calls = [
+        lambda: cls(**{name: value for name, value in fields.items() if name != first}),  # a required field left out
+        lambda: cls(**fields, bogus=1),  # an unknown keyword
+        lambda: cls(values[0], **fields),  # the first field by position and by keyword
+        lambda: cls(*values, values[-1]),  # one positional argument too many
+    ]
+    for call in bad_calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("name", ["a", "_a", "extra"])
+def test_quadratic_surd_refuses_assignment(name):
+    value = QuadraticSurd(1, 1, 5)
+    before = hash(value)
+    with pytest.raises(AttributeError):
+        setattr(value, name, F(7))
+    assert value == QuadraticSurd(1, 1, 5) and hash(value) == before and (value.a, value.b, value.d) == (1, 1, 5)
+    assert repr(value) == "QuadraticSurd(1, 1, 5)"
