@@ -3,10 +3,13 @@
 Rationals are plain reduced `fractions.Fraction` values; this module adds
 their canonical "num/den" wire format, and exact arithmetic, sign evaluation
 and decimal rendering for elements a + b*sqrt(d) of a real quadratic field.
-Each arithmetic operator reads its operands as parts and builds only its
-result; orderings and `abs_lt`/`abs_le` build no surd, and a power is one walk
-of the `horadam` kernel (see `__pow__`).  `_Record` is the one base of every
-library value type, `QuadraticSurd` included.
+`QuadraticSurd`'s binary operators share one protocol: one operand reader,
+`_parts`, reads an int, Fraction or surd in the surd's field; one result
+builder, `_operator`, builds an arithmetic operator's one surd from its formula
+for the two rational parts; one sign core, `_difference_sign`, decides
+`sign()`, the orderings and `abs_lt`/`abs_le` in integers, building no surd for
+any bound.  A power is one walk of the `horadam` kernel (see `__pow__`).
+`_Record` is the one base of every library value type, `QuadraticSurd` included.
 """
 
 from __future__ import annotations
@@ -189,6 +192,51 @@ def _int_sign(p: int, q: int, d: int) -> int:
     return -sign_q if p * p > q * q * d else sign_q
 
 
+def _difference_sign(a, b, c, e, d: int) -> int:
+    """Exact sign of (a - c) + (b - e)*sqrt(d) for int or Fraction parts, decided in integers with no surd built.
+
+    Times the positive a_den*c_den*b_den*e_den it is (a_num*c_den - c_num*a_den)*b_den*e_den +
+    (b_num*e_den - e_num*b_den)*a_den*c_den*sqrt(d).
+    """
+    ad, bd, cd, ed = a.denominator, b.denominator, c.denominator, e.denominator
+    p = (a.numerator * cd - c.numerator * ad) * bd * ed
+    return _int_sign(p, (b.numerator * ed - e.numerator * bd) * ad * cd, d)
+
+
+def _ordering(test):
+    """A QuadraticSurd ordering: test(sign) on the exact sign of self - other; NotImplemented for a foreign type."""
+    def compare(self, other: object) -> bool:
+        sign = self._sign_minus(other)
+        return NotImplemented if sign is None else test(sign)
+    return compare
+
+
+def _operator(formula):
+    """A QuadraticSurd arithmetic operator that builds its one result from formula(a, b, c, e, d).
+
+    The formula gives the result's two rational parts from self = a + b*sqrt(d) and the operand
+    c + e*sqrt(d) read by `_parts`; a foreign operand type gives NotImplemented.
+    """
+    def apply(self, other: object) -> QuadraticSurd:
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        c, e, d = parts
+        return QuadraticSurd(*formula(self.a, self.b, c, e, d), d)
+    return apply
+
+
+def _quotient(a, b, c, e, d: int) -> tuple[Fraction, Fraction]:
+    """Parts of (a + b*sqrt(d))/(c + e*sqrt(d)) = ((a*c - b*e*d) + (b*c - a*e)*sqrt(d))/(c*c - e*e*d).
+
+    One of a, c is a Fraction, so no quotient here is a float.
+    """
+    n = c * c - e * e * d
+    if n == 0:
+        raise ZeroDivisionError("division by zero surd")
+    return (a * c - b * e * d) / n, (b * c - a * e) / n
+
+
 class QuadraticSurd(_Record):
     """Exact element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
@@ -235,36 +283,25 @@ class QuadraticSurd(_Record):
 
     def sign(self) -> int:
         """Exact sign, decided in integers without floating point."""
-        return self._sign_minus(0)
+        return _difference_sign(self.a, self.b, 0, 0, self.d)
 
     def _sign_minus(self, other: object) -> int | None:
-        """Exact sign of self - other, decided in integers with no surd built; None for a type it cannot order.
-
-        With other = c + e*sqrt(d) read by `_parts`, (a - c) + (b - e)*sqrt(d) times the
-        positive a_den*c_den*b_den*e_den is (a_num*c_den - c_num*a_den)*b_den*e_den +
-        (b_num*e_den - e_num*b_den)*a_den*c_den*sqrt(d).
-        """
+        """Exact sign of self - other with no surd built; None for a type it cannot order."""
         parts = self._parts(other)
-        if parts is None:
-            return None
-        c, e, d = parts
-        a, b = self.a, self.b
-        ad, bd, cd, ed = a.denominator, b.denominator, c.denominator, e.denominator
-        p = (a.numerator * cd - c.numerator * ad) * bd * ed
-        return _int_sign(p, (b.numerator * ed - e.numerator * bd) * ad * cd, d)
+        return None if parts is None else _difference_sign(self.a, self.b, *parts)
 
     def _parts(self, other: object) -> tuple[Fraction | int, Fraction | int, int] | None:
-        """(a, b, d) of a surd, int or Fraction operand, d the field it shares with self; None for any other type."""
-        if isinstance(other, QuadraticSurd):
-            return other.a, other.b, self._common_radicand(other)
+        """(c, e, d) of an int, Fraction or surd operand c + e*sqrt(d), d the field it shares with self.
+
+        None for any other type; two irrational surds share a field only when their radicands are equal.
+        """
         if isinstance(other, (int, Fraction)):
             return other, 0, self.d
-        return None
-
-    def _common_radicand(self, other: QuadraticSurd) -> int:
+        if not isinstance(other, QuadraticSurd):
+            return None
         if self.b != 0 and other.b != 0 and self.d != other.d:
             raise DomainError(f"incompatible radicands {self.d} and {other.d}")
-        return other.d if self.b == 0 else self.d
+        return other.a, other.b, other.d if self.b == 0 else self.d
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -278,21 +315,10 @@ class QuadraticSurd(_Record):
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __lt__(self, other: object) -> bool:
-        sign = self._sign_minus(other)
-        return NotImplemented if sign is None else sign < 0
-
-    def __le__(self, other: object) -> bool:
-        sign = self._sign_minus(other)
-        return NotImplemented if sign is None else sign <= 0
-
-    def __gt__(self, other: object) -> bool:
-        sign = self._sign_minus(other)
-        return NotImplemented if sign is None else sign > 0
-
-    def __ge__(self, other: object) -> bool:
-        sign = self._sign_minus(other)
-        return NotImplemented if sign is None else sign >= 0
+    __lt__ = _ordering(lambda sign: sign < 0)
+    __le__ = _ordering(lambda sign: sign <= 0)
+    __gt__ = _ordering(lambda sign: sign > 0)
+    __ge__ = _ordering(lambda sign: sign >= 0)
 
     def __neg__(self) -> QuadraticSurd:
         return QuadraticSurd(-self.a, -self.b, self.d)
@@ -300,50 +326,12 @@ class QuadraticSurd(_Record):
     def __abs__(self) -> QuadraticSurd:
         return -self if self.sign() < 0 else self
 
-    def __add__(self, other: object) -> QuadraticSurd:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b, d = parts
-        return QuadraticSurd(self.a + a, self.b + b, d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> QuadraticSurd:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b, d = parts
-        return QuadraticSurd(self.a - a, self.b - b, d)
-
-    def __rsub__(self, other: object) -> QuadraticSurd:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b, d = parts
-        return QuadraticSurd(a - self.a, b - self.b, d)
-
-    def __mul__(self, other: object) -> QuadraticSurd:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b, d = parts
-        return QuadraticSurd(self.a * a + self.b * b * d, self.a * b + self.b * a, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> QuadraticSurd:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        return _quotient(self.a, self.b, *parts)
-
-    def __rtruediv__(self, other: object) -> QuadraticSurd:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b, d = parts
-        return _quotient(a, b, self.a, self.b, d)
+    __add__ = __radd__ = _operator(lambda a, b, c, e, d: (a + c, b + e))
+    __sub__ = _operator(lambda a, b, c, e, d: (a - c, b - e))
+    __rsub__ = _operator(lambda a, b, c, e, d: (c - a, e - b))
+    __mul__ = __rmul__ = _operator(lambda a, b, c, e, d: (a * c + b * e * d, a * e + b * c))
+    __truediv__ = _operator(_quotient)
+    __rtruediv__ = _operator(lambda a, b, c, e, d: _quotient(c, e, a, b, d))
 
     def __pow__(self, exponent: int) -> QuadraticSurd:
         """x**n = U(n)*x - N*U(n-1) with N the norm and U(0), U(1) = 0, 1, U(k+2) = 2a*U(k+1) - N*U(k)."""
@@ -371,17 +359,6 @@ class QuadraticSurd(_Record):
         return f"{self.a} {op} {abs(self.b)}*sqrt({self.d})"
 
 
-def _quotient(a, b, c, e, d: int) -> QuadraticSurd:
-    """(a + b*sqrt(d))/(c + e*sqrt(d)) = ((a*c - b*e*d) + (b*c - a*e)*sqrt(d))/(c*c - e*e*d), one surd built.
-
-    One of a, c is a Fraction, so no quotient here is a float.
-    """
-    n = c * c - e * e * d
-    if n == 0:
-        raise ZeroDivisionError("division by zero surd")
-    return QuadraticSurd((a * c - b * e * d) / n, (b * c - a * e) / n, d)
-
-
 def surd_sign(value: QuadraticSurd | Fraction | int) -> int:
     """Exact sign in {-1, 0, 1} of a rational or quadratic surd."""
     if isinstance(value, QuadraticSurd):
@@ -390,20 +367,28 @@ def surd_sign(value: QuadraticSurd | Fraction | int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _as_exact(value: QuadraticSurd | Fraction | int | str) -> QuadraticSurd | Fraction:
-    return value if isinstance(value, QuadraticSurd) else as_rational(value)
+def _bound_signs(value, bound) -> tuple[int, int]:
+    """Exact signs of value - bound and value + bound: the sign core on the bound's parts, then on their negation."""
+    value, bound = (x if isinstance(x, QuadraticSurd) else as_rational(x) for x in (value, bound))
+    if isinstance(value, QuadraticSurd):
+        a, b, (c, e, d) = value.a, value.b, value._parts(bound)
+    elif isinstance(bound, QuadraticSurd):
+        (a, b, d), c, e = bound._parts(value), bound.a, bound.b
+    else:
+        a, b, c, e, d = value, 0, bound, 0, 2
+    return _difference_sign(a, b, c, e, d), _difference_sign(a, b, -c, -e, d)
 
 
 def abs_lt(value: QuadraticSurd | Fraction | int, bound: QuadraticSurd | Fraction | int) -> bool:
-    """Exact |value| < bound, as -bound < value < bound."""
-    v, hi = _as_exact(value), _as_exact(bound)
-    return -hi < v < hi
+    """Exact |value| < bound, as value - bound < 0 < value + bound, with no surd built."""
+    below, above = _bound_signs(value, bound)
+    return below < 0 < above
 
 
 def abs_le(value: QuadraticSurd | Fraction | int, bound: QuadraticSurd | Fraction | int) -> bool:
-    """Exact |value| <= bound, as -bound <= value <= bound."""
-    v, hi = _as_exact(value), _as_exact(bound)
-    return -hi <= v <= hi
+    """Exact |value| <= bound, as value - bound <= 0 <= value + bound, with no surd built."""
+    below, above = _bound_signs(value, bound)
+    return below <= 0 <= above
 
 
 def quadratic_roots(p: Fraction | int | str, q: Fraction | int | str) -> tuple[QuadraticSurd, QuadraticSurd]:

@@ -243,6 +243,22 @@ def test_abs_bounds():
     assert not abs_lt(Fraction(1, 2), Fraction(1, 2))
 
 
+FOREIGN_OPERANDS = {"str": "1", "float": 1.5, "None": None, "object": object()}
+BINARY_OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv,
+                    operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@pytest.mark.parametrize("foreign", sorted(FOREIGN_OPERANDS))
+@pytest.mark.parametrize("op", BINARY_OPERATORS, ids=lambda op: op.__name__)
+def test_a_foreign_operand_raises_type_error_in_either_order(op, foreign):
+    """A str, float, None or plain object is no operand: each side returns NotImplemented, and == is False."""
+    other = FOREIGN_OPERANDS[foreign]
+    for left, right in ((GOLDEN_RATIO, other), (other, GOLDEN_RATIO)):
+        with pytest.raises(TypeError):
+            op(left, right)
+        assert (left == right, left != right) == (False, True)
+
+
 def test_decimal_rendering():
     assert decimal_str(GOLDEN_RATIO, 10) == "1.6180339887"
     assert decimal_str(Fraction(1, 3), 5) == "0.33333"

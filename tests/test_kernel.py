@@ -560,6 +560,9 @@ NO_SURD_RUNS = {
     "int >= surd": lambda: 1 >= GOLDEN_RATIO,
     "abs_lt": lambda: abs_lt(PSI, Fraction(1, 10**6)),
     "abs_le": lambda: abs_le(PSI, Fraction(1, 2)),
+    "abs_lt surd bound": lambda: abs_lt(PSI, GOLDEN_RATIO),
+    "abs_le surd bound": lambda: abs_le(PSI, GOLDEN_RATIO),
+    "abs_lt Fraction value, surd bound": lambda: abs_lt(Fraction(1, 2), GOLDEN_RATIO),
 }
 
 

@@ -8,6 +8,11 @@ of sqrt(d), whose distance from the surd shrinks like 1/q**2, or a second
 surd a2 + b2*sqrt(d) with a2 = a1 + (b1 - b2)*p/q.  sympy decides
 each sign on its own, exactly for a rational value and by `evalf(strict=True)`
 otherwise, which raises rather than return a digit it cannot certify.
+
+Near-ties at large radicands come from `isqrt` brackets instead: an end of the
+bracket of b*sqrt(d) at scale 10**k, so the rational is within 10**-k of the
+surd.  `abs_lt`/`abs_le` are checked against sympy's sign of bound - |value|,
+for rational and surd values and bounds.
 """
 
 import operator
@@ -20,7 +25,7 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from aurea.exact import DomainError, QuadraticSurd  # noqa: E402
+from aurea.exact import GOLDEN_RATIO, DomainError, QuadraticSurd, abs_le, abs_lt  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -150,3 +155,81 @@ def test_irrational_surds_of_different_fields_do_not_order(d1, d2):
             with pytest.raises(DomainError):
                 order(first, second)
         assert not first == second and first != second
+
+
+def sympy_value(x: QuadraticSurd | Fraction | int) -> sympy.Expr:
+    if isinstance(x, QuadraticSurd):
+        return sympy.Rational(str(x.a)) + sympy.Rational(str(x.b)) * sympy.sqrt(x.d)
+    return sympy.Rational(str(x))
+
+
+def sympy_abs_margin(value: QuadraticSurd | Fraction | int, bound: QuadraticSurd | Fraction | int) -> int:
+    """sympy's sign of bound - |value|."""
+    margin = sympy_value(bound) - sympy.Abs(sympy_value(value))
+    if not margin.is_Rational:
+        margin = margin.evalf(15, strict=True, maxn=4000)
+    return int(sympy.sign(margin))
+
+
+def _abs_checks(value: QuadraticSurd | Fraction | int, bound: QuadraticSurd | Fraction | int) -> None:
+    margin = sympy_abs_margin(value, bound)
+    assert (abs_lt(value, bound), abs_le(value, bound)) == (margin > 0, margin >= 0)
+
+
+@st.composite
+def values_and_bounds(draw):
+    """A rational or surd value and bound of one field; the bound drawn freely, or |value| or -|value|."""
+    d = draw(radicands)
+
+    def operand():
+        return draw(parts) if draw(st.booleans()) else QuadraticSurd(draw(parts), draw(parts), d)
+
+    value = operand()
+    kind = draw(st.sampled_from(["free", "abs", "negated abs"]))
+    return value, operand() if kind == "free" else abs(value) if kind == "abs" else -abs(value)
+
+
+@PROPERTY
+@given(case=values_and_bounds())
+@example(case=(-GOLDEN_RATIO, GOLDEN_RATIO))  # bound == |value|: abs_le holds, abs_lt does not
+@example(case=(GOLDEN_RATIO - 1, GOLDEN_RATIO - 1))
+@example(case=(Fraction(1, 2), -GOLDEN_RATIO))  # a negative bound holds nothing
+@example(case=(QuadraticSurd(0, 0, 5), QuadraticSurd(0, 0, 7)))  # 0 <= 0
+@example(case=(Fraction(-3, 2), GOLDEN_RATIO))  # rational value, surd bound
+@example(case=(GOLDEN_RATIO - 2, Fraction(1, 2)))  # surd value, rational bound
+def test_abs_bounds_match_sympy(case):
+    _abs_checks(*case)
+
+
+def bracket_end(a: Fraction, b: Fraction, d: int, k: int, above: bool) -> Fraction:
+    """A rational within 10**-k of a + b*sqrt(d), b != 0, d a non-square: a + sign(b)*m/(den(b)*10**k).
+
+    m is isqrt(num(b)**2*d*10**(2k)), the floor of |num(b)|*sqrt(d)*10**k, or that plus one.
+    """
+    m = isqrt(b.numerator**2 * d * 10 ** (2 * k)) + int(above)
+    return a + (1 if b > 0 else -1) * Fraction(m, b.denominator * 10**k)
+
+
+@st.composite
+def near_ties(draw):
+    """(a, b, d, r): d a non-square up to 10**6 and r within 10**-k of a + b*sqrt(d), k <= 60, or of its negation."""
+    a, b = draw(parts), draw(parts.filter(bool))
+    d = draw(st.integers(2, 10**6).filter(lambda d: isqrt(d) ** 2 != d))
+    r = bracket_end(a, b, d, draw(st.integers(0, 60)), draw(st.booleans()))
+    return a, b, d, -r if draw(st.booleans()) else r
+
+
+PRIME_36 = 68719476767  # the first prime above 2**36
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=near_ties())
+@example(case=(Fraction(1, 2), Fraction(1, 3), PRIME_36, bracket_end(Fraction(1, 2), Fraction(1, 3), PRIME_36, 60, False)))
+@example(case=(Fraction(-5, 7), Fraction(-2), PRIME_36, bracket_end(Fraction(-5, 7), Fraction(-2), PRIME_36, 60, True)))
+def test_near_tie_orderings_and_abs_bounds_match_sympy(case):
+    """All four orderings in both operand orders, sign(), and abs_lt/abs_le with either side as the bound."""
+    a, b, d, r = case
+    surd = QuadraticSurd(a, b, d)
+    _checks(surd, r, sympy_sign(a, b, d, r))
+    _abs_checks(r, surd)
+    _abs_checks(surd, r)
