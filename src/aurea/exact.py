@@ -125,7 +125,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Canonical "num/den" form with the denominator always spelled out, e.g. "-3/2", "7/1"."""
+    """Canonical "num/den" form with the denominator always spelled out, e.g. "-3/2", "7/1".
+
+    A plain Fraction is read through the slots `_from_coprime` writes, so
+    the call costs little more than the two int-to-str conversions.
+    """
+    if type(value) is Fraction:
+        return f"{value._numerator}/{value._denominator}"
     value = as_rational(value)
     return f"{value.numerator}/{value.denominator}"
 

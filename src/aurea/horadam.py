@@ -41,12 +41,15 @@ it, and `exact._from_coprime` builds each reduced Fraction without a gcd.
 t(k)/t(k+1) of a recurrence is the orbit of (0, 1, B, A); `ratios` steps
 (A, B, 1, 0) without end.
 
-A window needs one gcd of two big ints, for its first term.  `_run` then
-steps a content-free int vector (a, b, c) with u(k) = a/c, u(k+1) = b/c,
-under the same cleared recurrence, and keeps two invariants with gcds that
-each have one small operand: the content a step adds divides Q = B*D**2, so
-one gcd against |Q| removes it; and c divides a power of E*D, so the common
-factor of a term a/c divides one too, and gcds against E*D strip it.
+A window needs one gcd of two big ints, at its start.  One reader,
+`_vectors`, steps a content-free int vector (a, b, c) with u(k) = a/c,
+u(k+1) = b/(c*D), under the same cleared recurrence, and keeps two
+invariants with gcds that each have one small operand: the content a step
+adds divides Q = B*D**2, so one gcd against |Q| removes it; and c divides a
+power of E*D, so the common factor of a term a/c divides one too, and gcds
+against E*D strip it.  `_run` reduces every term it reads;
+`riccati.substitution_check` reduces only its t window and reads its Lucas
+window as ints.
 """
 
 from __future__ import annotations
@@ -133,8 +136,8 @@ def _mat_mul(x: tuple, y: tuple) -> tuple:
     )
 
 
-def _start(A, B, a, b, lo: int) -> tuple[int, int, int, int, int, int]:
-    """(P, Q, w(lo), w(lo+1), E*D**lo, D) of the cleared recurrence, for lo >= 0.
+def _start(A, B, a, b, lo: int) -> tuple[int, int, int, int, int, int, int]:
+    """(P, Q, w(lo), w(lo+1), E*D**lo, D, E*D) of the cleared recurrence, for lo >= 0.
 
     The start is reached by powering the integer companion matrix
     [[P, Q], [1, 0]] of the cleared recurrence, O(log lo) products.
@@ -150,7 +153,7 @@ def _start(A, B, a, b, lo: int) -> tuple[int, int, int, int, int, int]:
         k >>= 1
     # [w(lo+1), w(lo)]^T = M^lo [w(1), w(0)]^T
     x, y = result[2] * w1 + result[3] * w0, result[0] * w1 + result[1] * w0
-    return P, Q, x, y, E * D**lo, D
+    return P, Q, x, y, E * D**lo, D, E * D
 
 
 def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
@@ -171,36 +174,43 @@ def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
     return n, d
 
 
-def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) for 0 <= lo <= hi, stepped from `_start` as a content-free vector.
+def _vectors(P, Q, x, y, den, D, m) -> Iterator[tuple[int, int, int]]:
+    """(a, c, g) with u(k) = a/c for k = lo, lo+1, ..., from `_start`'s u(lo) = x/den and u(lo+1) = y/(den*D).
 
-    The first term is Fraction(w(lo), E*D**lo), the one full gcd of the run.
-    Then (a, b, c) with u(k) = a/c and u(k+1) = b/c steps to
-    (b*D, P*b + (Q/D)*a, c*D).  The step's matrix has determinant -Q*D, but
-    a prime power that divides the new content and D also divides Q, so a
-    content-free vector's image has content dividing Q, and one gcd against
-    |Q| keeps it content-free.  c divides a power of E*D, so the common factor
-    of a term a/c divides a power of E*D too, and `_coprime` strips it.
+    (a, b, c) with u(k+1) = b/(c*D) is content-free.  The start's content
+    is gcd(y, gcd(x, den)): Fraction(x, den) finds gcd(x, den), the window's
+    one gcd of two big ints, and `_coprime` the rest with gcds against
+    m = E*D, a power of which den divides.  A step maps the vector to
+    (b, P*b + Q*a, c*D), and g, its content, divides Q: a prime power in g
+    divides b and so Q*a, hence Q, unless its prime divides a; then the
+    prime does not divide c, so the power divides D, which divides Q.  One
+    gcd against |Q| keeps the vector content-free, and c(k+1) = c(k)*D/g; g
+    is 1 at the start.  a/c need not be reduced; its common factor divides a
+    power of m.
     """
-    P, Q, x, y, den, D = _start(A, B, a, b, lo)
-    first = Fraction(x, den)
-    if hi == lo:
-        return [first]
-    m = lcm(a.denominator, b.denominator) * D  # E*D
-    # (x*D, y, den*D) has content gcd(y, D*gcd(x, den)); the first term found gcd(x, den)
-    g = D * (den // first.denominator)
-    b, h = _coprime(y, g, m)
-    g //= h
-    a, c = x * D // g, den * D // g
-    QD, q = Q // D, abs(Q)
-    values = [first]
-    for _ in range(hi - lo):
-        a, b, c = b * D, P * b + QD * a, c * D
+    h = den // Fraction(x, den).denominator  # gcd(x, den)
+    g = h // _coprime(y, h, m)[1]  # gcd(x, y, den)
+    a, b, c = x // g, y // g, den // g
+    g, q = 1, abs(Q)
+    while True:
+        yield a, c, g
+        a, b, c = b, P * b + Q * a, c * D
         g = gcd(q, a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
-        values.append(_from_coprime(*_coprime(a, c, m)))
-    return values
+
+
+def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
+    """u(lo) .. u(hi) for 0 <= lo <= hi: the terms a/c `_vectors` reads, each reduced by `_coprime`.
+
+    A 1-term window is Fraction(w(lo), E*D**lo) alone: the reader's one full
+    gcd, with no start content to strip and no second reduction.
+    """
+    start = _start(A, B, a, b, lo)
+    if hi == lo:
+        return [Fraction(start[2], start[4])]
+    m = start[6]
+    return [_from_coprime(*_coprime(a, c, m)) for a, c, _ in islice(_vectors(*start), hi - lo + 1)]
 
 
 def _pairs(m00: int, m01: int, m10: int, m11: int, x: int, y: int) -> Iterator[tuple[int, int]]:

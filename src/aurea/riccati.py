@@ -13,9 +13,10 @@ one stepper, and `classify_initial` reads its classification, so x0 is
 forbidden at depth m exactly when the orbit meets the pole at step m.
 
 Each orbit here, and the step where it meets its pole, is read off
-`horadam._orbit` from a matrix: the map's own (0, q, 1, sign*p), the closed
-form's (0, 1, q, p) for s(k-1)/s(k), and the t-recurrence's (0, 1, 1/q, p/q).
-No step runs a gcd of two big ints.
+`horadam._orbit` from a matrix: the map's own (0, q, 1, sign*p) and the
+closed form's (0, 1, q, p) for s(k-1)/s(k).  `substitution_check` reads the
+map's own pairs from `horadam._pairs` and its t and Lucas windows as ints
+from `horadam._vectors`.  No step runs a gcd of two big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
-from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _Record, as_rational, quadratic_roots
-from .horadam import _orbit, lucas_window, ratios, terms
+from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _from_coprime, _Record, as_rational, quadratic_roots
+from .horadam import _coprime, _ints, _orbit, _pairs, _start, _vectors, ratios
 
 __all__ = [
     "MINUS",
@@ -216,14 +218,25 @@ def substitution_check(
 ) -> SubstitutionReport:
     """Build the linear t-sequence, form x(k) = t(k)/t(k+1), and verify both identities.
 
-    Per step this checks x(k) against the iterated orbit of x0 = t0/t1 and
-    t(k) against its scaled-Lucas closed form (t0*u(k+1) + (q*t1 - p*t0)*u(k)) / q**k.
-    A vanishing t(k+1) maps to the orbit's pole at step k.
+    The t window t(0) .. t(n+1) and the Lucas window u(0) .. u(n+2) stream
+    from `horadam._vectors` as ints, t(k) = a(k)/c(k) and u(k) = a_u(k)/c_u(k),
+    with c(k+1) = c(k)*D/g(k+1) and c_u(k+1) = c_u(k)*D_u/g_u(k+1); only the
+    reported t(k) are reduced.  Per k, each identity is one integer equation:
 
-    The orbit check compares two orbits of x0, the t-recurrence's ratio map
-    z -> 1/(p/q + z/q) and the Riccati map, and never reads `t_values`: a
-    wrong t(k) leaves `orbit_matches` all True and `ratio_values` those of
-    the true sequence, and only `closed_form_matches` fails at k.
+    - x(k) = t(k)/t(k+1), with x(k) read off the map's own orbit of
+      x0 = t0/t1 as a coprime pair (x, y) of (0, q, 1, p):
+      x*g(k+1)*a(k+1) == y*D*a(k) on the link c(k+1)*g(k+1) == c(k)*D,
+      which read the pairs of t(k) and t(k+1).  A zero t(k+1) is the pole
+      at step k, and the orbit must meet its pole there too.
+    - q**k*t(k) = t0*u(k+1) + (q*t1 - p*t0)*u(k).  The t-recurrence's D is
+      q*D_u, so s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1) per step,
+      and the identity is
+      a(k)*s(k)*L*D_u == T0*a_u(k+1)*g_u(k+1) + C*a_u(k)*D_u, where
+      t0 = T0/L and q*t1 - p*t0 = C/L.  It reads a(k) and, for k > 0, the
+      link from c(k-1) to c(k), so it holds for the reported t(k).
+
+    `ratio_values[k]` is the orbit's value where x(k) matches, and
+    t(k)/t(k+1) where it does not.
     """
     if params.branch != PLUS:
         raise DomainError("the substitution derivation applies to the plus branch")
@@ -233,32 +246,48 @@ def substitution_check(
     if t1 == 0:
         raise DomainError("t1 = 0 leaves x0 = t0/t1 undefined")
 
-    A, B = params.p / params.q, 1 / params.q
-    t_values = terms(A, B, t0, t1, 0, n + 1)
+    p, q = params.p, params.q
+    t_start, u_start = _start(p / q, 1 / q, t0, t1, 0), _start(p, q, 0, 1, 0)
+    D, m, Du = t_start[5], t_start[6], u_start[5]
+    shift = q * t1 - p * t0
+    T0, C = _ints(t0, shift)
+    LDu = lcm(t0.denominator, shift.denominator) * Du
+    orbit = _pairs(*_ints(0, q, 1, p), *_ints(t0, t1))
+    t_window, u_window = islice(_vectors(*t_start), n + 2), _vectors(*u_start)
+    a, c, _ = next(t_window)
+    ua, sn, _ = next(u_window)
+    sd = c  # s(0) = c_u(0)/c(0)
 
-    # t(k)*q**k == t0*u(k+1) + c*u(k), decided on ints: the right side is
-    # num/den unreduced, and q**k is carried as its parts qn**k and qd**k
-    u = lucas_window(*params.plus_form(), 0, n + 2)
-    c = params.q * t1 - params.p * t0
-    a_num, a_den, c_num, c_den = t0.numerator, t0.denominator, c.numerator, c.denominator
-    qn, qd = params.q.numerator, params.q.denominator
-    qn_k = qd_k = 1
-    closed_form_matches = []
-    for t, u0, u1 in zip(t_values, u, u[1:]):
-        num = a_num * c_den * u1.numerator * u0.denominator + c_num * a_den * u0.numerator * u1.denominator
-        den = a_den * c_den * u0.denominator * u1.denominator
-        closed_form_matches.append(t.numerator * qn_k * den == t.denominator * qd_k * num)
-        qn_k *= qn
-        qd_k *= qd
-
-    orbit = iterate_orbit(params, t0 / t1, n)
-    ratio_values, pole_step = _orbit((0, 1, B, A), t0, t1, n + 1)  # t(k)/t(k+1); t(k+1) = 0 is the pole at step k
-    orbit_matches = [
-        k < len(orbit.trajectory) and value == orbit.trajectory[k] for k, value in enumerate(ratio_values)
-    ]
-    if pole_step != orbit.pole_step:
-        # the two pole accounts must agree; disagreement is a failed check
-        orbit_matches.append(False)
+    t_values, ratio_values, orbit_matches, closed_form_matches = [_from_coprime(*_coprime(a, c, m))], [], [], []
+    pole_step = orbit_pole = None
+    linked = True  # c(k) == c(k-1)*D/g(k); c(0) starts the chain
+    for k in range(n + 2):
+        ua_next, _, ug = next(u_window)
+        closed_form_matches.append(linked and a * sn * LDu == sd * (T0 * ua_next * ug + C * ua * Du))
+        if k > n:
+            break
+        a_next, c_next, g = next(t_window)
+        t = _from_coprime(*_coprime(a_next, c_next, m))
+        linked = c_next * g == c * D
+        if pole_step is None:  # x(k) = t(k)/t(k+1)
+            if orbit_pole is None:
+                x, y = next(orbit)
+                if not y:
+                    orbit_pole = k
+            if not a_next:
+                pole_step = k
+            elif orbit_pole is None and linked and x * g * a_next == y * D * a:
+                ratio_values.append(_from_coprime(x, y))
+                orbit_matches.append(True)
+            else:
+                ratio_values.append(t_values[-1] / t)
+                orbit_matches.append(False)
+        t_values.append(t)
+        if g != ug:
+            sn, sd = sn * g, sd * ug
+        a, c, ua = a_next, c_next, ua_next
+    if pole_step != orbit_pole:
+        orbit_matches.append(False)  # the two pole accounts must agree
     return SubstitutionReport(
         tuple(t_values),
         tuple(ratio_values),

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,44 @@ def test_parse_format_round_trip():
         assert format_rational(parse_rational(text)) == text
     assert parse_rational("5") == 5
     assert format_rational(Fraction(4, 8)) == "1/2"
+
+
+def test_format_rational_of_a_fraction_is_its_numerator_over_its_denominator():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions() | st.builds(Fraction, st.integers(), st.integers(min_value=1)))
+    @example(Fraction(0))
+    @example(_from_coprime(-(2**3000 + 1), 2**3001))
+    def check(value):
+        assert format_rational(value) == f"{value.numerator}/{value.denominator}"
+
+    check()
+
+
+class _Half(Fraction):
+    """A Fraction subclass: format_rational reads it through its numerator and denominator properties."""
+
+
+def test_format_rational_of_other_values():
+    cases = [(7, "7/1"), (-3, "-3/1"), (0, "0/1"), (True, "1/1"), (False, "0/1"), ("4/8", "1/2"), (" -6/4 ", "-3/2"),
+             ("5", "5/1"), (_Half(3, 6), "1/2"), (_Half(-4), "-4/1")]
+    assert [format_rational(value) for value, _ in cases] == [text for _, text in cases]
+    with pytest.raises(TypeError):
+        format_rational(1.5)
+    with pytest.raises(ValueError):
+        format_rational("1.5")
+
+
+def test_format_rational_past_the_str_limit_raises_the_interpreter_error():
+    """bench/workloads matches "string conversion" in the message to count a refused request."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str limit in this interpreter")
+    for value in (Fraction(10**limit, 3), _from_coprime(7, 10**limit), 10**limit, _Half(10**limit)):
+        with pytest.raises(ValueError, match="string conversion"):
+            format_rational(value)
 
 
 def test_parse_rejects_garbage():

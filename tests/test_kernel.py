@@ -8,11 +8,12 @@ whose denominators differ from each other and from the coefficients'.
 
 The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
-checked the same way, and `horadam._orbit`, which all of them but `ratios`
-and `forbidden_set` read, against a Fraction stepper of its Möbius map.  A
-count of `Fraction.__new__` calls that must not grow with n keeps a per-step
-gcd from coming back; a count of horadam's own gcd calls holds every pair
-step to one.
+checked the same way, and `horadam._orbit`, which all of them but `ratios`,
+`forbidden_set` and `substitution_check` read, against a Fraction stepper of
+its Möbius map.  A term planted into the window reader `substitution_check`
+streams fails each identity at exactly the steps that read it.  A count of
+`Fraction.__new__` calls that must not grow with n keeps a per-step gcd from
+coming back; a count of horadam's own gcd calls holds every pair step to one.
 
 `QuadraticSurd.__pow__` and `golden_power_trace` read their powers off the
 same kernel; they are checked against repeated multiplication, and a count
@@ -334,19 +335,83 @@ def test_substitution_check_matches_the_fraction_formulation(p, q, t0, t1, n):
     assert all(_canonical(x) for x in report.ratio_values)
 
 
+SUBST_MAP, SUBST_SEED = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS), (Fraction(1, 3), Fraction(2, 5))
+T_START = horadam._start(SUBST_MAP.p / SUBST_MAP.q, 1 / SUBST_MAP.q, *SUBST_SEED, 0)  # the t window's
+U_START = horadam._start(SUBST_MAP.p, SUBST_MAP.q, 0, 1, 0)  # the Lucas u window's
+
+
+def _plant(monkeypatch, start, planted, wrong=lambda a, c: (a + c, c)):
+    """substitution_check's window reader, with term `planted` of the window that begins at `start` made wrong.
+
+    By default the term a/c becomes a/c + 1.
+    """
+    real = horadam._vectors
+
+    def planted_vectors(*args):
+        vectors = real(*args)
+        if args != start:
+            return vectors
+        return ((*wrong(a, c), g) if k == planted else (a, c, g) for k, (a, c, g) in enumerate(vectors))
+
+    monkeypatch.setattr(riccati, "_vectors", planted_vectors)
+
+
 @pytest.mark.parametrize("planted", [0, 1, 7, 31])
 def test_substitution_check_fails_exactly_at_a_planted_t_value(monkeypatch, planted):
     """One wrong t(k) from the window is caught by the closed-form check at k, and nowhere else."""
-    params, n = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS), 30
-
-    def planted_terms(*args):
-        values = terms(*args)
-        values[planted] += 1
-        return values
-
-    monkeypatch.setattr(riccati, "terms", planted_terms)
-    report = substitution_check(params, Fraction(1, 3), Fraction(2, 5), n)
+    n = 30
+    true = terms(SUBST_MAP.p / SUBST_MAP.q, 1 / SUBST_MAP.q, *SUBST_SEED, 0, n + 1)
+    _plant(monkeypatch, T_START, planted)
+    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
+    assert report.t_values[planted] == true[planted] + 1
     assert report.closed_form_matches == tuple(k != planted for k in range(n + 2))
+    assert not report.passed
+
+
+def test_substitution_check_orbit_test_reads_the_reported_t_window(monkeypatch):
+    """A wrong t(5) fails x(4) = t(4)/t(5) and x(5) = t(5)/t(6), and the closed form at 5 only.
+
+    The ratio reported at a failed step is the window's own t(k)/t(k+1).
+    """
+    n = 20
+    _plant(monkeypatch, T_START, 5)
+    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
+    t = report.t_values
+    assert report.orbit_matches == tuple(k not in (4, 5) for k in range(n + 1))
+    assert report.closed_form_matches == tuple(k != 5 for k in range(n + 2))
+    assert report.ratio_values[4:6] == (t[4] / t[5], t[5] / t[6])
+    assert report.pole_step is None and not report.passed
+
+
+@pytest.mark.parametrize("params, t0, t1, n, planted", [
+    (SUBST_MAP, *SUBST_SEED, 20, 5),
+    (RiccatiParams(Fraction(4, 27), Fraction(8, 9), PLUS), Fraction(-4, 27), Fraction(1), 20, 8),  # past the pole at step 1
+])
+def test_substitution_check_reads_the_reported_scale(monkeypatch, params, t0, t1, n, planted):
+    """t(k) divided by 3 through its denominator alone fails every check that reads the link c(k+1)*g(k+1) == c(k)*D.
+
+    Those are x(k-1) and x(k) before the pole, and the closed form at k
+    and k + 1.  3 divides E*D, so the planted t(k) is still reduced.
+    """
+    honest = substitution_check(params, t0, t1, n)
+    _plant(monkeypatch, horadam._start(params.p / params.q, 1 / params.q, t0, t1, 0), planted, lambda a, c: (a, 3 * c))
+    report = substitution_check(params, t0, t1, n)
+    assert report.t_values[planted] == honest.t_values[planted] / 3
+    read = (planted - 1, planted) if honest.pole_step is None else ()
+    assert report.orbit_matches == tuple(ok and k not in read for k, ok in enumerate(honest.orbit_matches))
+    assert report.closed_form_matches == tuple(k not in (planted, planted + 1) for k in range(n + 2))
+    assert not report.passed
+
+
+@pytest.mark.parametrize("planted", [0, 1, 7, 22])
+def test_substitution_check_fails_exactly_at_a_planted_u_value(monkeypatch, planted):
+    """A wrong u(j) fails the closed form at k = j - 1 and k = j, the two identities that read it, and nothing else."""
+    n = 20
+    honest = substitution_check(SUBST_MAP, *SUBST_SEED, n)
+    _plant(monkeypatch, U_START, planted)
+    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
+    assert report.closed_form_matches == tuple(k not in (planted - 1, planted) for k in range(n + 2))
+    assert (report.t_values, report.ratio_values, report.orbit_matches) == (honest.t_values, honest.ratio_values, honest.orbit_matches)
     assert not report.passed
 
 
@@ -655,9 +720,10 @@ PER_STEP_RUNS = {
     "ratio_trace": lambda n: len(ratio_trace(ODD_SEED, 0, -n, n).ratios) == 2 * n + 1,
     "substitution_check": lambda n: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n).passed,
 }
-# the windows these runs read: each builds its first term through Fraction's gcd and
-# reduces the rest with small gcds of its own, counted per term by the window guards below
-WINDOWS = [(riccati, "terms"), (riccati, "lucas_window"), (fibfunc, "terms")]
+# the window ratio_trace reads: it reduces its terms with small gcds of its own, counted
+# per term by the window guards below; substitution_check streams its windows, so its
+# window steps are counted with its pairs
+WINDOWS = [(fibfunc, "terms")]
 
 
 def _memoized(function):
@@ -707,10 +773,12 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     """One small gcd per coprime pair read, the first reducing the start.
 
     n ratios read n pairs, x0 .. xn read n + 1 and the closed form's x1 .. xn
-    read n; ratio_trace over [0, n] reads n + 1, and substitution_check reads
-    n + 1 for its ratio stream and n + 1 for the orbit it is checked against.
-    The windows ratio_trace and substitution_check read are memoized and
-    filled first, so only the pair steps are counted.
+    read n; ratio_trace over [0, n] reads n + 1, and its window is memoized
+    and filled first, so only the pair steps are counted.  substitution_check
+    streams everything it reads, and each of its 4*n + 9 gcds is counted:
+    n + 1 for the orbit's pairs, n + 1 and n + 2 for the steps of its t and u
+    windows, n + 2 for reducing the reported t(k), one each here, and 3 for
+    the windows' start contents past the gcd Fraction finds.
     """
 
     def stream():
@@ -718,12 +786,11 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
 
     _memoize_windows(monkeypatch)
     ratio_trace(ODD_SEED, 0, 0, n)
-    substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)
     assert _gcds_run(monkeypatch, stream) == n
     assert _gcds_run(monkeypatch, lambda: iterate_orbit(MINUS_MAP, Fraction(1, 2), n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n
     assert _gcds_run(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, 0, n)) == n + 1
-    assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 2 * n + 2
+    assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 4 * n + 9
 
 
 WINDOW_RUNS = {
@@ -740,9 +807,9 @@ WINDOW_RUNS = {
 def test_window_terms_take_a_bounded_number_of_small_gcds(monkeypatch, name):
     """Every horadam gcd in a window has an operand of at most 64 bits, and their number per term does not grow with n.
 
-    The first term is reduced by Fraction's own gcd; the rest step a
-    content-free vector and strip each term's common factor, a power of the
-    small E*D.  Without the short-cut for a zero term, or without either
+    Fraction's own gcd finds the start's gcd(x, den); then every term steps
+    a content-free vector and strips its common factor, a power of the small
+    E*D.  Without the short-cut for a zero term, or without either
     division that keeps the vector content-free, the count per term grows by
     about a fifth from n = 500 to n = 4000 on the A = 0 windows.
     """
