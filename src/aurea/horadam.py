@@ -25,31 +25,30 @@ E = lcm(den u(0), den u(1)); then u(k) = w(k) / (E*D**k), where
 
 is an integer recurrence, so each returned term costs one reduction at the
 end instead of a gcd-reduced Fraction at every step.  `terms` reaches its
-start by powering the companion matrix [[A*D, B*D**2], [1, 0]], O(log|lo|)
-products, and steps one term at a time only through the window; `ratios`
-steps the cleared coefficients from index 0 without end.  A negative
-index is the forward run of the reversed recurrence v(j) = u(-j), with
-coefficients (-A/B, 1/B) and seeds (u(0), u(-1)), so one integer path
-serves both directions.
+start by powering the companion matrix (0, 1, Q, P) = [[0, 1], [Q, P]] of
+the cleared recurrence, P = A*D and Q = B*D**2, which maps (w(k), w(k+1)) to
+(w(k+1), w(k+2)), in O(log|lo|) products, and steps one term at a time only
+through the window; `ratios` steps the cleared coefficients from index 0
+without end.  A negative index is the forward run of the reversed
+recurrence v(j) = u(-j), with coefficients (-A/B, 1/B) and seeds
+(u(0), u(-1)), so one integer path serves both directions.
 
-A ratio needs no gcd of two big ints.  A ratio stream is an orbit of a
-Möbius map z -> (m00*z + m01)/(m10*z + m11): `_orbit` clears its matrix and
-seed to ints once, steps them with `_pairs` and stops before the first
-infinite point, reporting its index.  A coprime pair's image shares only
-factors of the small determinant, so each step reduces by one gcd against
-it, and `exact._from_coprime` builds each reduced Fraction without a gcd.
-t(k)/t(k+1) of a recurrence is the orbit of (0, 1, B, A); `ratios` steps
-(A, B, 1, 0) without end.
-
-A window needs one gcd of two big ints, at its start.  One reader,
-`_vectors`, steps a content-free int vector (a, b, c) with u(k) = a/c,
-u(k+1) = b/(c*D), under the same cleared recurrence, and keeps two
-invariants with gcds that each have one small operand: the content a step
-adds divides Q = B*D**2, so one gcd against |Q| removes it; and c divides a
-power of E*D, so the common factor of a term a/c divides one too, and gcds
-against E*D strip it.  `_run` reduces every term it reads;
-`riccati.substitution_check` reduces only its t window and reads its Lucas
-window as ints.
+One int stepper, `_steps`, serves windows and ratio streams alike: it steps
+a content-free vector (x, y, c) by an invertible int matrix M on (x, y) and
+by D on c, and divides each image by its content, which divides the small
+det M, so every step takes one gcd with that small int as an operand.  The
+start's content, gcd(c, x, y), is the one gcd that may have only big
+operands, as at a window far out.  A window is
+`_start`'s companion run on c = E*D**lo, with u(k) = x/c and
+u(k+1) = y/(c*D); the common factor of a term x/c divides a power of E*D,
+so `_coprime`, by gcds against E*D, reduces it.  A ratio stream is an orbit
+of a Möbius map z -> (m00*z + m01)/(m10*z + m11), run on c = 0 as coprime
+pairs: `_orbit` clears its matrix and seed to ints once, stops before the
+first infinite point, reporting its index, and `exact._from_coprime` builds
+each reduced Fraction without a gcd.  t(k)/t(k+1) of a recurrence is the
+orbit of (0, 1, B, A); `ratios` steps (A, B, 1, 0) without end.  `_run`
+reduces every term it reads; `riccati.substitution_check` reduces only its
+t window and reads its Lucas window and its map's pairs as ints.
 """
 
 from __future__ import annotations
@@ -136,24 +135,25 @@ def _mat_mul(x: tuple, y: tuple) -> tuple:
     )
 
 
-def _start(A, B, a, b, lo: int) -> tuple[int, int, int, int, int, int, int]:
-    """(P, Q, w(lo), w(lo+1), E*D**lo, D, E*D) of the cleared recurrence, for lo >= 0.
+def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
+    """`_steps`' arguments for u(lo), u(lo+1), ... of the cleared recurrence, for lo >= 0, and E*D.
 
-    The start is reached by powering the integer companion matrix
-    [[P, Q], [1, 0]] of the cleared recurrence, O(log lo) products.
+    They are its companion matrix (0, 1, Q, P), which maps (w(k), w(k+1)) to
+    (w(k+1), w(k+2)), the pair (w(lo), w(lo+1)), E*D**lo and D, so u(k) =
+    x/c and u(k+1) = y/(c*D) at every yield (x, y, c, g).  The start is
+    reached by powering the companion, O(log lo) products.
     """
     P, Q, w0, w1, E, D = clear(A, B, a, b)
     k = lo
-    base = (P, Q, 1, 0)
+    base = companion = (0, 1, Q, P)
     result = (1, 0, 0, 1)
     while k:
         if k & 1:
             result = _mat_mul(result, base)
         base = _mat_mul(base, base)
         k >>= 1
-    # [w(lo+1), w(lo)]^T = M^lo [w(1), w(0)]^T
-    x, y = result[2] * w1 + result[3] * w0, result[0] * w1 + result[1] * w0
-    return P, Q, x, y, E * D**lo, D, E * D
+    x, y = result[0] * w0 + result[1] * w1, result[2] * w0 + result[3] * w1
+    return (*companion, x, y, E * D**lo, D), E * D
 
 
 def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
@@ -174,61 +174,39 @@ def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
     return n, d
 
 
-def _vectors(P, Q, x, y, den, D, m) -> Iterator[tuple[int, int, int]]:
-    """(a, c, g) with u(k) = a/c for k = lo, lo+1, ..., from `_start`'s u(lo) = x/den and u(lo+1) = y/(den*D).
+def _steps(m00, m01, m10, m11, x, y, c=0, D=1) -> Iterator[tuple[int, int, int, int]]:
+    """(x, y, c, g): the start over gcd(c, x, y), then each image (M*(x, y), c*D) over g, its content.
 
-    (a, b, c) with u(k+1) = b/(c*D) is content-free.  The start's content
-    is gcd(y, gcd(x, den)): Fraction(x, den) finds gcd(x, den), the window's
-    one gcd of two big ints, and `_coprime` the rest with gcds against
-    m = E*D, a power of which den divides.  A step maps the vector to
-    (b, P*b + Q*a, c*D), and g, its content, divides Q: a prime power in g
-    divides b and so Q*a, hence Q, unless its prime divides a; then the
-    prime does not divide c, so the power divides D, which divides Q.  One
-    gcd against |Q| keeps the vector content-free, and c(k+1) = c(k)*D/g; g
-    is 1 at the start.  a/c need not be reduced; its common factor divides a
-    power of m.
+    M = [[m00, m01], [m10, m11]] is invertible, and D divides det M unless
+    c = 0.  g divides det M: a prime power in g divides det*(x, y), the
+    adjugate of M times the image, so it divides det unless its prime
+    divides both x and y; then the prime does not divide c, so the power
+    divides D.  One gcd against |det| keeps every yield content-free, and g
+    is 1 at the start.  With c = 0 the pairs are coprime points of the
+    Möbius map of M.
     """
-    h = den // Fraction(x, den).denominator  # gcd(x, den)
-    g = h // _coprime(y, h, m)[1]  # gcd(x, y, den)
-    a, b, c = x // g, y // g, den // g
-    g, q = 1, abs(Q)
+    g = gcd(c, x, y)
+    if g > 1:
+        x, y, c = x // g, y // g, c // g
+    det, g = abs(m00 * m11 - m01 * m10), 1
     while True:
-        yield a, c, g
-        a, b, c = b, P * b + Q * a, c * D
-        g = gcd(q, a, b, c)
+        yield x, y, c, g
+        x, y, c = m00 * x + m01 * y, m10 * x + m11 * y, c * D
+        g = gcd(det, x, y, c)
         if g > 1:
-            a, b, c = a // g, b // g, c // g
+            x, y, c = x // g, y // g, c // g
 
 
 def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) for 0 <= lo <= hi: the terms a/c `_vectors` reads, each reduced by `_coprime`.
+    """u(lo) .. u(hi) for 0 <= lo <= hi: the terms x/c `_steps` reads, each reduced by `_coprime` against E*D.
 
-    A 1-term window is Fraction(w(lo), E*D**lo) alone: the reader's one full
-    gcd, with no start content to strip and no second reduction.
+    A 1-term window is Fraction(w(lo), E*D**lo) alone: one full gcd, with no
+    start content to strip and no second reduction.
     """
-    start = _start(A, B, a, b, lo)
+    start, m = _start(A, B, a, b, lo)
     if hi == lo:
-        return [Fraction(start[2], start[4])]
-    m = start[6]
-    return [_from_coprime(*_coprime(a, c, m)) for a, c, _ in islice(_vectors(*start), hi - lo + 1)]
-
-
-def _pairs(m00: int, m01: int, m10: int, m11: int, x: int, y: int) -> Iterator[tuple[int, int]]:
-    """(x, y) made coprime, then its images under [[m00, m01], [m10, m11]], each made coprime.
-
-    The image of a coprime pair shares only factors of the determinant, so
-    every gcd after the first has that small int as one operand.
-    """
-    g = gcd(x, y)
-    if g > 1:
-        x, y = x // g, y // g
-    det = abs(m00 * m11 - m01 * m10)
-    while True:
-        yield x, y
-        x, y = m00 * x + m01 * y, m10 * x + m11 * y
-        g = gcd(det, x, y)
-        if g > 1:
-            x, y = x // g, y // g
+        return [Fraction(start[4], start[6])]
+    return [_from_coprime(*_coprime(x, c, m)) for x, _, c, _ in islice(_steps(*start), hi - lo + 1)]
 
 
 def _ints(*values) -> list[int]:
@@ -242,14 +220,14 @@ def _orbit(matrix: tuple, x, y, count: int) -> tuple[list[Fraction], int | None]
 
     They come with that point's index (a zero denominator, or a 0/0 seed), or None.
     """
-    pairs = islice(_pairs(*_ints(*matrix), *_ints(x, y)), count)
-    values = [_from_coprime(a, b) for a, b in takewhile(itemgetter(1), pairs)]
+    pairs = islice(_steps(*_ints(*matrix), *_ints(x, y)), count)
+    values = [_from_coprime(a, b) for a, b, _, _ in takewhile(itemgetter(1), pairs)]
     return values, (len(values) if len(values) < count else None)
 
 
 def ratios(A, B, a, b) -> Iterator[Fraction | None]:
     """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0: the orbit of rho -> A + B/rho from u(1)/u(0)."""
-    return (_from_coprime(x, y) if y else None for x, y in _pairs(*_ints(A, B, 1, 0), *_ints(b, a)))
+    return (_from_coprime(x, y) if y else None for x, y, _, _ in _steps(*_ints(A, B, 1, 0), *_ints(b, a)))
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:

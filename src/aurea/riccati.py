@@ -15,8 +15,8 @@ forbidden at depth m exactly when the orbit meets the pole at step m.
 Each orbit here, and the step where it meets its pole, is read off
 `horadam._orbit` from a matrix: the map's own (0, q, 1, sign*p) and the
 closed form's (0, 1, q, p) for s(k-1)/s(k).  `substitution_check` reads the
-map's own pairs from `horadam._pairs` and its t and Lucas windows as ints
-from `horadam._vectors`.  No step runs a gcd of two big ints.
+map's own pairs and its t and Lucas windows as ints from the one stepper,
+`horadam._steps`.  No step runs a gcd of two big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -30,7 +30,7 @@ from itertools import islice
 from math import lcm
 
 from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _from_coprime, _Record, as_rational, quadratic_roots
-from .horadam import _coprime, _ints, _orbit, _pairs, _start, _vectors, ratios
+from .horadam import _coprime, _ints, _orbit, _start, _steps, ratios
 
 __all__ = [
     "MINUS",
@@ -219,7 +219,7 @@ def substitution_check(
     """Build the linear t-sequence, form x(k) = t(k)/t(k+1), and verify both identities.
 
     The t window t(0) .. t(n+1) and the Lucas window u(0) .. u(n+2) stream
-    from `horadam._vectors` as ints, t(k) = a(k)/c(k) and u(k) = a_u(k)/c_u(k),
+    from `horadam._steps` as ints, t(k) = a(k)/c(k) and u(k) = a_u(k)/c_u(k),
     with c(k+1) = c(k)*D/g(k+1) and c_u(k+1) = c_u(k)*D_u/g_u(k+1); only the
     reported t(k) are reduced.  Per k, each identity is one integer equation:
 
@@ -247,31 +247,31 @@ def substitution_check(
         raise DomainError("t1 = 0 leaves x0 = t0/t1 undefined")
 
     p, q = params.p, params.q
-    t_start, u_start = _start(p / q, 1 / q, t0, t1, 0), _start(p, q, 0, 1, 0)
-    D, m, Du = t_start[5], t_start[6], u_start[5]
+    (t_start, m), (u_start, _) = _start(p / q, 1 / q, t0, t1, 0), _start(p, q, 0, 1, 0)
+    D, Du = t_start[7], u_start[7]
     shift = q * t1 - p * t0
     T0, C = _ints(t0, shift)
     LDu = lcm(t0.denominator, shift.denominator) * Du
-    orbit = _pairs(*_ints(0, q, 1, p), *_ints(t0, t1))
-    t_window, u_window = islice(_vectors(*t_start), n + 2), _vectors(*u_start)
-    a, c, _ = next(t_window)
-    ua, sn, _ = next(u_window)
+    orbit = _steps(*_ints(0, q, 1, p), *_ints(t0, t1))
+    t_window, u_window = islice(_steps(*t_start), n + 2), _steps(*u_start)
+    a, _, c, _ = next(t_window)
+    ua, _, sn, _ = next(u_window)
     sd = c  # s(0) = c_u(0)/c(0)
 
     t_values, ratio_values, orbit_matches, closed_form_matches = [_from_coprime(*_coprime(a, c, m))], [], [], []
     pole_step = orbit_pole = None
     linked = True  # c(k) == c(k-1)*D/g(k); c(0) starts the chain
     for k in range(n + 2):
-        ua_next, _, ug = next(u_window)
+        ua_next, _, _, ug = next(u_window)
         closed_form_matches.append(linked and a * sn * LDu == sd * (T0 * ua_next * ug + C * ua * Du))
         if k > n:
             break
-        a_next, c_next, g = next(t_window)
+        a_next, _, c_next, g = next(t_window)
         t = _from_coprime(*_coprime(a_next, c_next, m))
         linked = c_next * g == c * D
         if pole_step is None:  # x(k) = t(k)/t(k+1)
             if orbit_pole is None:
-                x, y = next(orbit)
+                x, y, _, _ = next(orbit)
                 if not y:
                     orbit_pole = k
             if not a_next:

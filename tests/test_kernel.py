@@ -10,8 +10,10 @@ The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
 checked the same way, and `horadam._orbit`, which all of them but `ratios`,
 `forbidden_set` and `substitution_check` read, against a Fraction stepper of
-its Möbius map.  A term planted into the window reader `substitution_check`
-streams fails each identity at exactly the steps that read it.  A count of
+its Möbius map.  `horadam._steps`, the one int stepper under all of them and
+under the windows, is checked against plain matrix powers.  A term planted
+into a window `substitution_check` streams from it fails each identity at
+exactly the steps that read it.  A count of
 `Fraction.__new__` calls that must not grow with n keeps a per-step gcd from
 coming back; a count of horadam's own gcd calls holds every pair step to one.
 
@@ -199,6 +201,48 @@ def test_orbit_matches_the_mobius_stepper(matrix, x, y, count, pole_at):
         assert horadam._orbit(matrix, *_pulled_back_pole(matrix, pole_at), count)[1] <= pole_at
 
 
+small_int = st.integers(-9, 9)
+
+
+@PROPERTY
+@given(
+    matrix=st.tuples(small_int, small_int, small_int, small_int),
+    x=st.integers(-10**6, 10**6),
+    y=st.integers(-10**6, 10**6),
+    c=st.just(0) | st.integers(1, 10**6),
+    scale=st.integers(1, 10**4),
+    count=st.integers(1, 40),
+    d=st.integers(1, 200),
+)
+@example(matrix=(2, 0, 0, 2), x=2, y=2, c=1, scale=1, count=10, d=4)  # 2 divides x and y but not c: the content comes from D
+@example(matrix=(0, 1, 3, 0), x=0, y=0, c=5, scale=7, count=10, d=3)  # a zero pair: (0, 0, 1) throughout
+@example(matrix=(0, 1, -90, 14), x=3, y=-60, c=12, scale=1, count=30, d=6)  # _start's companion of (7/3, -5/2)
+@example(matrix=(2, -1, 3, 5), x=-4, y=6, c=0, scale=6, count=40, d=1)  # c = 0: coprime pairs
+def test_steps_yield_the_content_free_matrix_powers(matrix, x, y, c, scale, count, d):
+    """Yield k of `_steps` is (M**k*(x, y), c*D**k) over its content, for D = gcd(d, det M), a divisor of det M.
+
+    Its g divides det, is 1 at the start, and times the yield is the image of the one before.
+    """
+    m00, m01, m10, m11 = matrix
+    det = m00 * m11 - m01 * m10
+    assume(det != 0)
+    assume(x or y or c)
+    D = gcd(d, det)
+    ref, previous = (scale * x, scale * y, scale * c), None
+    for sx, sy, sc, g in islice(horadam._steps(*matrix, *ref, D), count):
+        content = gcd(*ref)
+        assert (sx, sy, sc) == tuple(value // content for value in ref)
+        assert gcd(sx, sy, sc) == 1
+        assert det % g == 0
+        if previous is None:
+            assert g == 1
+        else:
+            px, py, pc = previous
+            assert (g * sx, g * sy, g * sc) == (m00 * px + m01 * py, m10 * px + m11 * py, pc * D)
+        previous = sx, sy, sc
+        ref = (m00 * ref[0] + m01 * ref[1], m10 * ref[0] + m11 * ref[1], ref[2] * D)
+
+
 def _orbit_reference(p, q, sign, x0, n):
     """(trajectory, pole_step) of x -> q/(x + sign*p), one Fraction step at a time."""
     trajectory, x = [x0], x0
@@ -336,24 +380,29 @@ def test_substitution_check_matches_the_fraction_formulation(p, q, t0, t1, n):
 
 
 SUBST_MAP, SUBST_SEED = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS), (Fraction(1, 3), Fraction(2, 5))
-T_START = horadam._start(SUBST_MAP.p / SUBST_MAP.q, 1 / SUBST_MAP.q, *SUBST_SEED, 0)  # the t window's
-U_START = horadam._start(SUBST_MAP.p, SUBST_MAP.q, 0, 1, 0)  # the Lucas u window's
+T_START = horadam._start(SUBST_MAP.p / SUBST_MAP.q, 1 / SUBST_MAP.q, *SUBST_SEED, 0)[0]  # the t window's
+U_START = horadam._start(SUBST_MAP.p, SUBST_MAP.q, 0, 1, 0)[0]  # the Lucas u window's
 
 
 def _plant(monkeypatch, start, planted, wrong=lambda a, c: (a + c, c)):
-    """substitution_check's window reader, with term `planted` of the window that begins at `start` made wrong.
+    """substitution_check's stepper, with term `planted` of the window it steps from `start` made wrong.
 
-    By default the term a/c becomes a/c + 1.
+    The window yields (a, b, c, g) with the term a/c, by default made a/c + 1.
+    The map's own pairs and the other window are left as they are.
     """
-    real = horadam._vectors
+    real = horadam._steps
 
-    def planted_vectors(*args):
-        vectors = real(*args)
+    def wrong_term(a, b, c, g):
+        a, c = wrong(a, c)
+        return a, b, c, g
+
+    def planted_steps(*args):
+        steps = real(*args)
         if args != start:
-            return vectors
-        return ((*wrong(a, c), g) if k == planted else (a, c, g) for k, (a, c, g) in enumerate(vectors))
+            return steps
+        return (wrong_term(*step) if k == planted else step for k, step in enumerate(steps))
 
-    monkeypatch.setattr(riccati, "_vectors", planted_vectors)
+    monkeypatch.setattr(riccati, "_steps", planted_steps)
 
 
 @pytest.mark.parametrize("planted", [0, 1, 7, 31])
@@ -394,7 +443,7 @@ def test_substitution_check_reads_the_reported_scale(monkeypatch, params, t0, t1
     and k + 1.  3 divides E*D, so the planted t(k) is still reduced.
     """
     honest = substitution_check(params, t0, t1, n)
-    _plant(monkeypatch, horadam._start(params.p / params.q, 1 / params.q, t0, t1, 0), planted, lambda a, c: (a, 3 * c))
+    _plant(monkeypatch, horadam._start(params.p / params.q, 1 / params.q, t0, t1, 0)[0], planted, lambda a, c: (a, 3 * c))
     report = substitution_check(params, t0, t1, n)
     assert report.t_values[planted] == honest.t_values[planted] / 3
     read = (planted - 1, planted) if honest.pole_step is None else ()
@@ -753,18 +802,22 @@ def test_ratio_streams_build_no_fraction_per_step(monkeypatch, name):
     assert counts[0] == counts[1]
 
 
-def _gcds_run(monkeypatch, run):
-    """Number of calls to horadam's gcd during run(); each must have an operand of at most 64 bits."""
+def _gcds_run(monkeypatch, run, big=0):
+    """Number of calls to horadam's gcd during run(); all but `big` of them must have an operand of at most 64 bits.
+
+    An operand's size is its bit length; a zero operand does not count, as
+    gcd(0, x, y) = gcd(x, y) is a gcd of x and y.
+    """
     calls, real = [], horadam.gcd
 
     def counting(*args):
-        calls.append(min(abs(arg).bit_length() for arg in args))
+        calls.append(min((abs(arg).bit_length() for arg in args if arg), default=0))
         return real(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(horadam, "gcd", counting)
         run()
-    assert max(calls, default=0) <= 64
+    assert sum(size > 64 for size in calls) == big
     return len(calls)
 
 
@@ -775,10 +828,10 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     n ratios read n pairs, x0 .. xn read n + 1 and the closed form's x1 .. xn
     read n; ratio_trace over [0, n] reads n + 1, and its window is memoized
     and filled first, so only the pair steps are counted.  substitution_check
-    streams everything it reads, and each of its 4*n + 9 gcds is counted:
-    n + 1 for the orbit's pairs, n + 1 and n + 2 for the steps of its t and u
-    windows, n + 2 for reducing the reported t(k), one each here, and 3 for
-    the windows' start contents past the gcd Fraction finds.
+    streams everything it reads from three runs of `_steps`, one gcd per
+    yield, the first reducing the start: n + 1 for the orbit's pairs, n + 2
+    for the t window's and n + 3 for the u window's vectors, and n + 2 more
+    for reducing the reported t(k), one each here, 4*n + 8 in all.
     """
 
     def stream():
@@ -790,31 +843,34 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     assert _gcds_run(monkeypatch, lambda: iterate_orbit(MINUS_MAP, Fraction(1, 2), n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n
     assert _gcds_run(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, 0, n)) == n + 1
-    assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 4 * n + 9
+    assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 4 * n + 8
 
 
+# each run with the number of its windows that start far out, at u(n) with n >= 500
 WINDOW_RUNS = {
-    "lucas_window(0, 1/2)": lambda n: lucas_window(0, Fraction(1, 2), 0, n),
-    "lucas_window(0, 1/6)": lambda n: lucas_window(0, Fraction(1, 6), 0, n),
-    "lucas_window(0, 1/2) far out": lambda n: lucas_window(0, Fraction(1, 2), n, 2 * n),
-    "lucas_window(1/2, 1/4)": lambda n: lucas_window(Fraction(1, 2), Fraction(1, 4), 0, n),
-    "terms(7/3, -5/2) across 0": lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), -n // 2, n // 2),
-    "terms(3/2, 2/5) from 1/1000003": lambda n: terms(Fraction(3, 2), Fraction(2, 5), Fraction(1, 1000003), Fraction(5, 7), 0, n),
+    "lucas_window(0, 1/2)": (lambda n: lucas_window(0, Fraction(1, 2), 0, n), 0),
+    "lucas_window(0, 1/6)": (lambda n: lucas_window(0, Fraction(1, 6), 0, n), 0),
+    "lucas_window(0, 1/2) far out": (lambda n: lucas_window(0, Fraction(1, 2), n, 2 * n), 1),  # from u(n) = 0
+    "lucas_window(1/2, 1/4)": (lambda n: lucas_window(Fraction(1, 2), Fraction(1, 4), 0, n), 0),
+    "terms(7/3, -5/2) across 0": (lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), -n // 2, n // 2), 0),
+    "terms(7/3, -5/2) far out": (lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), n, 2 * n), 1),
+    "terms(3/2, 2/5) from 1/1000003": (lambda n: terms(Fraction(3, 2), Fraction(2, 5), Fraction(1, 1000003), Fraction(5, 7), 0, n), 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_RUNS))
 def test_window_terms_take_a_bounded_number_of_small_gcds(monkeypatch, name):
-    """Every horadam gcd in a window has an operand of at most 64 bits, and their number per term does not grow with n.
+    """A window far out takes one gcd of big ints, at its start; the rest have an operand of at most 64 bits.
 
-    Fraction's own gcd finds the start's gcd(x, den); then every term steps
-    a content-free vector and strips its common factor, a power of the small
-    E*D.  Without the short-cut for a zero term, or without either
-    division that keeps the vector content-free, the count per term grows by
-    about a fifth from n = 500 to n = 4000 on the A = 0 windows.
+    Their number per term does not grow with n.  The start's gcd(c, x, y)
+    makes the vector content-free; then every term steps it and strips the
+    term's common factor, a power of the small E*D.  Without the short-cut
+    for a zero term, or without either division that keeps the vector
+    content-free, the count per term grows by about a fifth from n = 500 to
+    n = 4000 on the A = 0 windows.
     """
-    run = WINDOW_RUNS[name]
-    per_term = [_gcds_run(monkeypatch, lambda: run(n)) / n for n in (500, 4000)]
+    run, far = WINDOW_RUNS[name]
+    per_term = [_gcds_run(monkeypatch, lambda: run(n), far) / n for n in (500, 4000)]
     assert per_term[1] <= 1.05 * per_term[0]
 
 
