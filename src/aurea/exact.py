@@ -8,7 +8,7 @@ and decimal rendering for elements a + b*sqrt(d) of a real quadratic field.
 builder, `_operator`, builds an arithmetic operator's one surd from its formula
 for the two rational parts; one sign core, `_difference_sign`, decides
 `sign()`, the orderings and `abs_lt`/`abs_le` in integers, building no surd for
-any bound.  A power is one walk of the `horadam` kernel (see `__pow__`).
+any bound.  A power reads one pair of the `horadam` kernel (see `__pow__`).
 `_Record` is the one base of every library value type, `QuadraticSurd` included.
 """
 
@@ -340,7 +340,7 @@ class QuadraticSurd(_Record):
     __rtruediv__ = _operator(lambda a, b, c, e, d: _quotient(c, e, a, b, d))
 
     def __pow__(self, exponent: int) -> QuadraticSurd:
-        """x**n = U(n)*x - N*U(n-1) with N the norm and U(0), U(1) = 0, 1, U(k+2) = 2a*U(k+1) - N*U(k)."""
+        """x**n = U(n)*x - N*U(n-1), N the norm, U(0), U(1) = 0, 1, U(k+2) = 2a*U(k+1) - N*U(k): one `terms` pair."""
         if not isinstance(exponent, int):
             return NotImplemented
         n = self.norm()
@@ -348,8 +348,8 @@ class QuadraticSurd(_Record):
             if exponent < 0:
                 raise ZeroDivisionError("division by zero surd")
             return QuadraticSurd(1 if exponent == 0 else 0)
-        from .horadam import walk  # deferred: horadam imports this module
-        u_prev, u = walk(2 * self.a, -n, 0, 1, exponent - 1)
+        from .horadam import terms  # deferred: horadam imports this module
+        u_prev, u = terms(2 * self.a, -n, 0, 1, exponent - 1, exponent)
         return QuadraticSurd(u * self.a - n * u_prev, u * self.b, self.d)
 
     def __float__(self) -> float:

@@ -4,10 +4,10 @@ Every stepping question in the library is a run of
 
     u(k+2) = A*u(k+1) + B*u(k),    B != 0,
 
-walked by `terms` (a contiguous window), `walk` (the pair at one index) and
-`ratios` (the consecutive ratios u(k+1)/u(k) as a stream); `fast_term` is
-`horadam_term` under its older name.  Each parameter type lowers to (A, B)
-in exactly one place, its `plus_form` method:
+read by `terms`, the one value reader (a window of one term, of the pair at
+one index, or wider), and `ratios`, the one ratio stream u(k+1)/u(k);
+`fast_term` is `horadam_term` under its older name.  Each parameter type
+lowers to (A, B) in exactly one place, its `plus_form` method:
 
     RecurrenceParams  w(n+2) = p*w(n+1) - q*w(n)               ->  (p, -q)
     RatioParams       f(n+2) = ±r*f(n+1) + s*f(n)              ->  (±r, s)
@@ -38,7 +38,7 @@ a content-free vector (x, y, c) by an invertible int matrix M on (x, y) and
 by D on c, and divides each image by its content, which divides the small
 det M, so every step takes one gcd with that small int as an operand.  The
 start's content, gcd(c, x, y), is the one gcd that may have only big
-operands, as at a window far out.  A window is
+operands, as at a window far out.  A window, one term included, is
 `_start`'s companion run on c = E*D**lo, with u(k) = x/c and
 u(k+1) = y/(c*D); the common factor of a term x/c divides a power of E*D,
 so `_coprime`, by gcds against E*D, reduces it.  A ratio stream is an orbit
@@ -198,14 +198,8 @@ def _steps(m00, m01, m10, m11, x, y, c=0, D=1) -> Iterator[tuple[int, int, int, 
 
 
 def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) for 0 <= lo <= hi: the terms x/c `_steps` reads, each reduced by `_coprime` against E*D.
-
-    A 1-term window is Fraction(w(lo), E*D**lo) alone: one full gcd, with no
-    start content to strip and no second reduction.
-    """
+    """u(lo) .. u(hi) for 0 <= lo <= hi: the terms x/c `_steps` reads, each reduced by `_coprime` against E*D."""
     start, m = _start(A, B, a, b, lo)
-    if hi == lo:
-        return [Fraction(start[4], start[6])]
     return [_from_coprime(*_coprime(x, c, m)) for x, _, c, _ in islice(_steps(*start), hi - lo + 1)]
 
 
@@ -244,11 +238,6 @@ def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
     if hi >= 0:
         values += _run(A, B, a, b, max(lo, 0), hi)
     return values
-
-
-def walk(A, B, a, b, n: int) -> tuple[Fraction, Fraction]:
-    """(u(n), u(n+1)) of u(k+2) = A*u(k+1) + B*u(k) from (u(0), u(1)) = (a, b)."""
-    return tuple(terms(A, B, a, b, n, n + 1))
 
 
 def horadam_term(params: RecurrenceParams, n: int) -> Fraction:

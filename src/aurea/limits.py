@@ -31,7 +31,7 @@ from .exact import (
     as_rational,
     quadratic_roots,
 )
-from .horadam import terms, walk
+from .horadam import terms
 from .riccati import MINUS, PLUS, OrbitReport, RiccatiParams, closed_form_term, iterate_orbit
 
 __all__ = [
@@ -206,7 +206,7 @@ def limit_estimate(
     if n < 0:
         raise ValueError("n must be nonnegative")
     steps = n if direction == FORWARD else -n
-    a, b = walk(*params.plus_form(), as_rational(seed[0]), as_rational(seed[1]), steps)
+    a, b = terms(*params.plus_form(), as_rational(seed[0]), as_rational(seed[1]), steps, steps + 1)
     if a == 0:
         raise DomainError(f"ratio undefined: the term at the final index vanished after {n} steps")
     ratio = b / a
@@ -224,7 +224,7 @@ def cf_convergent(m: int) -> Fraction:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return Fraction(*walk(1, 1, 0, 1, m))
+    return Fraction(*terms(1, 1, 0, 1, m, m + 1))
 
 
 class NestingReport(_Record):

@@ -141,8 +141,9 @@ def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: i
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
-    # g -> 1/(p + q*g) takes s(k-1)/s(k) to s(k)/s(k+1), infinite where s(k+1) = 0
-    s_ratios, stop = _orbit((0, 1, params.q, params.p), 1, params.p + params.sign * x0, n)
+    A, B = params.plus_form()
+    # g -> 1/(A + B*g) takes s(k-1)/s(k) to s(k)/s(k+1), infinite where s(k+1) = 0
+    s_ratios, stop = _orbit((0, 1, B, A), 1, A + params.sign * x0, n)
     if stop is not None:
         raise DomainError(f"initial value {x0} is forbidden at depth {stop + 1}")
     q = params.sign * params.q
@@ -171,7 +172,8 @@ def forbidden_set(params: RiccatiParams, depth: int) -> list[Fraction]:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    u_ratios = list(islice(ratios(params.p, params.q, 1, params.p), depth))  # u(m+1)/u(m) from m = 1, all positive
+    A, B = params.plus_form()
+    u_ratios = list(islice(ratios(A, B, 1, A), depth))  # u(m+1)/u(m) from m = 1, all positive
     return [-ratio for ratio in u_ratios] if params.branch == PLUS else u_ratios
 
 
@@ -228,9 +230,10 @@ def substitution_check(
       x*g(k+1)*a(k+1) == y*D*a(k) on the link c(k+1)*g(k+1) == c(k)*D,
       which read the pairs of t(k) and t(k+1).  A zero t(k+1) is the pole
       at step k, and the orbit must meet its pole there too.
-    - q**k*t(k) = t0*u(k+1) + (q*t1 - p*t0)*u(k).  The t-recurrence's D is
-      q*D_u, so s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1) per step,
-      and the identity is
+    - q**k*t(k) = t0*u(k+1) + (q*t1 - p*t0)*u(k).  `clear` gives both
+      windows one int companion, and the t-recurrence's D is q*D_u, so
+      s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1) per step, and the
+      identity is
       a(k)*s(k)*L*D_u == T0*a_u(k+1)*g_u(k+1) + C*a_u(k)*D_u, where
       t0 = T0/L and q*t1 - p*t0 = C/L.  It reads a(k) and, for k > 0, the
       link from c(k-1) to c(k), so it holds for the reported t(k).
@@ -246,7 +249,7 @@ def substitution_check(
     if t1 == 0:
         raise DomainError("t1 = 0 leaves x0 = t0/t1 undefined")
 
-    p, q = params.p, params.q
+    p, q = params.plus_form()
     (t_start, m), (u_start, _) = _start(p / q, 1 / q, t0, t1, 0), _start(p, q, 0, 1, 0)
     D, Du = t_start[7], u_start[7]
     shift = q * t1 - p * t0

@@ -1,10 +1,11 @@
 """Differential tests for the integer recurrence kernel in `aurea.horadam`.
 
-`walk`, `terms` and `fast_term` clear denominators once, power the integer
-companion matrix to a window's start and step ints from there, and `ratios`
-steps the same ints from index 0; here they are
-checked against a plain-Fraction stepper that does none of this, on seeds
-whose denominators differ from each other and from the coefficients'.
+`terms` (the one value reader) and `fast_term` clear denominators once, power
+the integer companion matrix to a window's start and step ints from there, a
+window of one term included, and `ratios` steps the same ints from index 0;
+here they are checked against a plain-Fraction stepper that does none of
+this, on seeds whose denominators differ from each other and from the
+coefficients'.
 
 The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
@@ -43,7 +44,7 @@ from aurea.horadam import (  # noqa: E402
     lucas_window,
     ratios,
     terms,
-    walk,
+    window,
 )
 from aurea.limits import ODD, STANDARD, RatioParams, cf_convergent, nesting_check, ratio_orbit  # noqa: E402
 from aurea.riccati import (  # noqa: E402
@@ -89,10 +90,10 @@ def _canonical(value):
 @example(A=Fraction(7, 3), B=Fraction(-5, 2), a=Fraction(1, 4), b=Fraction(5, 6), n=97, m=97)  # a 1-term window
 @example(A=Fraction(7, 3), B=Fraction(-5, 2), a=Fraction(1, 4), b=Fraction(5, 6), n=-98, m=-97)  # a 2-term window
 @example(A=Fraction(0), B=Fraction(1, 6), a=Fraction(0), b=Fraction(1), n=100, m=101)  # a 2-term window from u = 0
-def test_walk_and_terms_match_the_fraction_stepper(A, B, a, b, n, m):
+def test_pairs_and_terms_match_the_fraction_stepper(A, B, a, b, n, m):
     lo, hi = min(n, m), max(n, m)
     ref = reference(A, B, a, b, lo, hi)
-    assert walk(A, B, a, b, n) == (ref[n], ref[n + 1])
+    assert terms(A, B, a, b, n, n + 1) == [ref[n], ref[n + 1]]
     values = terms(A, B, a, b, lo, hi)
     assert values == [ref[k] for k in range(lo, hi + 1)]
     assert all(_canonical(value) for value in values)
@@ -114,9 +115,10 @@ def test_fast_term_matches_the_fraction_stepper(w0, w1, p, q, n):
     q=st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(lambda x: x != 0),
     n=st.integers(-2000, 2000),
 )
-def test_fast_term_equals_horadam_term_far_out(w0, w1, p, q, n):
+def test_one_term_equals_the_middle_of_a_three_term_window_far_out(w0, w1, p, q, n):
+    """A 1-term read and a 3-term window power to different starts and reduce their terms alike."""
     params = RecurrenceParams(w0, w1, p, q)
-    assert fast_term(params, n) == horadam_term(params, n)
+    assert horadam_term(params, n) == window(params, n - 1, 3).values[1]
 
 
 # coefficients whose cleared Q = B*D**2 has squared primes, so a step's common factor is a prime power
@@ -379,6 +381,24 @@ def test_substitution_check_matches_the_fraction_formulation(p, q, t0, t1, n):
     assert all(_canonical(x) for x in report.ratio_values)
 
 
+@PROPERTY
+@given(p=positive | prime_power, q=positive | prime_power, t0=rationals, t1=nonzero)
+@example(p=Fraction(2), q=Fraction(4), t0=Fraction(1), t1=Fraction(1))
+def test_substitution_windows_share_one_companion_and_scale_by_q(p, q, t0, t1):
+    """The t window of (p/q, 1/q) and the Lucas window of (p, q) step one int companion, and D_t = q*D_u.
+
+    `substitution_check`'s scale s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1)
+    per step only because of this: `clear` takes D = lcm(den A, den B), and
+    for each prime the valuation of lcm(den p/q, den 1/q) is that of q plus
+    that of lcm(den p, den q).  A clearing by the least D with A*D and B*D**2
+    integral breaks it: at p = 2, q = 4 the t window's least D is 2, against
+    q*D_u = 4.
+    """
+    t_start, u_start = horadam._start(p / q, 1 / q, t0, t1, 0)[0], horadam._start(p, q, 0, 1, 0)[0]
+    assert t_start[:4] == u_start[:4]
+    assert t_start[7] == q * u_start[7]
+
+
 SUBST_MAP, SUBST_SEED = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS), (Fraction(1, 3), Fraction(2, 5))
 T_START = horadam._start(SUBST_MAP.p / SUBST_MAP.q, 1 / SUBST_MAP.q, *SUBST_SEED, 0)[0]  # the t window's
 U_START = horadam._start(SUBST_MAP.p, SUBST_MAP.q, 0, 1, 0)[0]  # the Lucas u window's
@@ -505,8 +525,8 @@ def _fibs(count):
 
 def test_int_inputs_return_the_int_values():
     fib = _fibs(402)
-    assert walk(1, 1, 0, 1, 400) == (fib[400], fib[401])
-    assert walk(1, 1, 0, 1, -7) == (13, -8)
+    assert terms(1, 1, 0, 1, 400, 401) == [fib[400], fib[401]]
+    assert terms(1, 1, 0, 1, -7, -6) == [13, -8]
     assert terms(1, 1, 0, 1, 0, 401) == fib
     assert terms(2, -1, 3, 5, 0, 5) == [3, 5, 7, 9, 11, 13]
     for m in (1, 2, 10, 400):
