@@ -29,9 +29,10 @@ start by powering the companion matrix (0, 1, Q, P) = [[0, 1], [Q, P]] of
 the cleared recurrence, P = A*D and Q = B*D**2, which maps (w(k), w(k+1)) to
 (w(k+1), w(k+2)), in O(log|lo|) products, and steps one term at a time only
 through the window; `ratios` steps the cleared coefficients from index 0
-without end.  A negative index is the forward run of the reversed
-recurrence v(j) = u(-j), with coefficients (-A/B, 1/B) and seeds
-(u(0), u(-1)), so one integer path serves both directions.
+without end.  A negative start is reached by powering the companion's
+adjugate (P, -1, -Q, 0), -Q times its inverse, and the run from it steps
+the companion forward as from any other start, so one integer path serves
+indices of either sign.
 
 One int stepper, `_steps`, serves windows and ratio streams alike: it steps
 a content-free vector (x, y, c) by an invertible int matrix M on (x, y) and
@@ -39,14 +40,16 @@ by D on c, and divides each image by its content, which divides the small
 det M, so every step takes one gcd with that small int as an operand.  The
 start's content, gcd(c, x, y), is the one gcd that may have only big
 operands, as at a window far out.  A window, one term included, is
-`_start`'s companion run on c = E*D**lo, with u(k) = x/c and
-u(k+1) = y/(c*D); the common factor of a term x/c divides a power of E*D,
-so `_coprime`, by gcds against E*D, reduces it.  A ratio stream is an orbit
+`_start`'s companion run on c = E*D**lo, or E*(-Q/D)**(-lo) for lo < 0, with
+u(k) = x/c and u(k+1) = y/(c*D); the common factor of a term x/c divides a
+power of E*Q, so `_coprime`, by gcds against E*Q, reduces it.  As every
+yield is content-free, the ints at an index are the same up to sign from
+any start.  A ratio stream is an orbit
 of a Möbius map z -> (m00*z + m01)/(m10*z + m11), run on c = 0 as coprime
 pairs: `_orbit` clears its matrix and seed to ints once, stops before the
 first infinite point, reporting its index, and `exact._from_coprime` builds
 each reduced Fraction without a gcd.  t(k)/t(k+1) of a recurrence is the
-orbit of (0, 1, B, A); `ratios` steps (A, B, 1, 0) without end.  `_run`
+orbit of (0, 1, B, A); `ratios` steps (A, B, 1, 0) without end.  `terms`
 reduces every term it reads; `riccati.substitution_check` reduces only its
 t window and reads its Lucas window and its map's pairs as ints.
 """
@@ -121,11 +124,6 @@ def clear(A, B, a, b) -> tuple[int, int, int, int, int, int]:
     )
 
 
-def _reversed(A, B, a, b) -> tuple:
-    """(A', B', v(0), v(1)) of the reversed recurrence v(j) = u(-j): (-A/B, 1/B) from (u(0), u(-1))."""
-    return Fraction(-A, B), Fraction(1, B), a, Fraction(b - A * a, B)
-
-
 def _mat_mul(x: tuple, y: tuple) -> tuple:
     return (
         x[0] * y[0] + x[1] * y[2],
@@ -136,16 +134,20 @@ def _mat_mul(x: tuple, y: tuple) -> tuple:
 
 
 def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
-    """`_steps`' arguments for u(lo), u(lo+1), ... of the cleared recurrence, for lo >= 0, and E*D.
+    """`_steps`' arguments for u(lo), u(lo+1), ... of the cleared recurrence, and E*Q.
 
-    They are its companion matrix (0, 1, Q, P), which maps (w(k), w(k+1)) to
-    (w(k+1), w(k+2)), the pair (w(lo), w(lo+1)), E*D**lo and D, so u(k) =
-    x/c and u(k+1) = y/(c*D) at every yield (x, y, c, g).  The start is
-    reached by powering the companion, O(log lo) products.
+    They are its companion matrix C = (0, 1, Q, P), which maps (w(k), w(k+1))
+    to (w(k+1), w(k+2)), the pair (x, y) and c at lo, and D, so u(k) = x/c
+    and u(k+1) = y/(c*D) at every yield (x, y, c, g).  The start is reached
+    in O(log|lo|) products by powering C, or, for lo < 0, its adjugate
+    (P, -1, -Q, 0), which is -Q times the inverse of C; then c is
+    E*(-Q/D)**(-lo), an int that may be negative.  A term's denominator
+    divides a power of E*Q at either sign.
     """
     P, Q, w0, w1, E, D = clear(A, B, a, b)
-    k = lo
-    base = companion = (0, 1, Q, P)
+    k = abs(lo)
+    companion = (0, 1, Q, P)
+    base = companion if lo >= 0 else (P, -1, -Q, 0)
     result = (1, 0, 0, 1)
     while k:
         if k & 1:
@@ -153,11 +155,12 @@ def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
         base = _mat_mul(base, base)
         k >>= 1
     x, y = result[0] * w0 + result[1] * w1, result[2] * w0 + result[3] * w1
-    return (*companion, x, y, E * D**lo, D), E * D
+    c = E * D**lo if lo >= 0 else E * (-Q // D) ** -lo
+    return (*companion, x, y, c, D), E * Q
 
 
 def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
-    """n/d in lowest terms, for d > 0 whose primes all divide m, by gcds against the small m.
+    """n/d in lowest terms, for d != 0 whose primes all divide m, by gcds against the small m.
 
     A common factor t is stripped as its largest power t**(2**j) that divides
     both, so the rounds stay logarithmic in the common factor's size.
@@ -197,12 +200,6 @@ def _steps(m00, m01, m10, m11, x, y, c=0, D=1) -> Iterator[tuple[int, int, int, 
             x, y, c = x // g, y // g, c // g
 
 
-def _run(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) for 0 <= lo <= hi: the terms x/c `_steps` reads, each reduced by `_coprime` against E*D."""
-    start, m = _start(A, B, a, b, lo)
-    return [_from_coprime(*_coprime(x, c, m)) for x, _, c, _ in islice(_steps(*start), hi - lo + 1)]
-
-
 def _ints(*values) -> list[int]:
     """Rationals times the lcm of their denominators: ints in the same ratios."""
     D = lcm(*(value.denominator for value in values))
@@ -225,23 +222,18 @@ def ratios(A, B, a, b) -> Iterator[Fraction | None]:
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) inclusive of the same recurrence.
+    """u(lo) .. u(hi) inclusive, at indices of either sign: one run of `_steps` from `_start`.
 
-    Terms below index 0 come from one forward run of the reversed recurrence,
-    the rest from one forward run of u itself, so no term is stepped twice.
+    Each term x/c it reads is reduced by `_coprime` against E*Q.
     """
     if hi < lo:
         return []
-    values = []
-    if lo < 0:
-        values = _run(*_reversed(A, B, a, b), max(-hi, 1), -lo)[::-1]
-    if hi >= 0:
-        values += _run(A, B, a, b, max(lo, 0), hi)
-    return values
+    start, m = _start(A, B, a, b, lo)
+    return [_from_coprime(*_coprime(x, c, m)) for x, _, c, _ in islice(_steps(*start), hi - lo + 1)]
 
 
 def horadam_term(params: RecurrenceParams, n: int) -> Fraction:
-    """Exact n-th term; negative indices use the inverted recurrence w(n) = (p*w(n+1) - w(n+2))/q."""
+    """Exact n-th term, at n of either sign: the window of one term."""
     return terms(*params.plus_form(), params.w0, params.w1, n, n)[0]
 
 
@@ -280,9 +272,8 @@ def negative_symmetry_check(params: RecurrenceParams, n_max: int) -> tuple[int, 
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    A, B = params.plus_form()
-    forward = terms(A, B, params.w0, params.w1, 0, n_max)
-    backward = terms(A, B, params.w0, params.w1, -n_max, 0)[::-1]  # backward[n] = w(-n)
+    values = terms(*params.plus_form(), params.w0, params.w1, -n_max, n_max)
+    backward, forward = values[n_max::-1], values[n_max:]  # backward[n] = w(-n), forward[n] = w(n)
     return tuple(
         n for n in range(1, n_max + 1) if backward[n] != (forward[n] if n % 2 else -forward[n])
     )

@@ -1,8 +1,9 @@
 """Differential tests for the integer recurrence kernel in `aurea.horadam`.
 
 `terms` (the one value reader) and `fast_term` clear denominators once, power
-the integer companion matrix to a window's start and step ints from there, a
-window of one term included, and `ratios` steps the same ints from index 0;
+the integer companion matrix, or below 0 its adjugate, to a window's start
+and step ints forward from there, a window of one term included, and
+`ratios` steps the same ints from index 0;
 here they are checked against a plain-Fraction stepper that does none of
 this, on seeds whose denominators differ from each other and from the
 coefficients'.
@@ -90,6 +91,7 @@ def _canonical(value):
 @example(A=Fraction(7, 3), B=Fraction(-5, 2), a=Fraction(1, 4), b=Fraction(5, 6), n=97, m=97)  # a 1-term window
 @example(A=Fraction(7, 3), B=Fraction(-5, 2), a=Fraction(1, 4), b=Fraction(5, 6), n=-98, m=-97)  # a 2-term window
 @example(A=Fraction(0), B=Fraction(1, 6), a=Fraction(0), b=Fraction(1), n=100, m=101)  # a 2-term window from u = 0
+@example(A=Fraction(3, 2), B=Fraction(2, 5), a=Fraction(1, 4), b=Fraction(5, 6), n=-151, m=-149)  # B > 0, odd lo: c < 0
 def test_pairs_and_terms_match_the_fraction_stepper(A, B, a, b, n, m):
     lo, hi = min(n, m), max(n, m)
     ref = reference(A, B, a, b, lo, hi)
@@ -499,11 +501,29 @@ def _at_binary_edges(test):
 @given(A=small, B=small.filter(lambda x: x != 0), a=small, b=small, start=st.integers(1, 3000), width=st.integers(0, 8))
 @_at_binary_edges
 def test_powered_start_equals_the_stepped_slice(A, B, a, b, start, width):
-    """A window away from 0 reaches its start by matrix powers; the window from 0 steps every term."""
+    """A window away from 0 reaches its start by matrix powers; a window from `start` indices lower steps across it.
+
+    Above 0 that window starts at 0; below 0 it starts at its own power of the adjugate.
+    """
     lo, hi = start, start + width
     assert terms(A, B, a, b, lo, hi) == terms(A, B, a, b, 0, hi)[lo:]
     lo, hi = -start - width, -start
-    assert terms(A, B, a, b, lo, hi) == terms(A, B, a, b, lo, 0)[: hi - lo + 1]
+    assert terms(A, B, a, b, lo, hi) == terms(A, B, a, b, lo - start, hi)[start:]
+
+
+@PROPERTY
+@given(A=rationals, B=nonzero, a=rationals, b=rationals, lo=st.integers(-150, -1), offset=st.integers(0, 300))
+@example(A=Fraction(3, 2), B=Fraction(2, 5), a=Fraction(1, 4), b=Fraction(5, 6), lo=-151, offset=151)  # c < 0 from lo, c > 0 from k = 0
+def test_the_ints_at_an_index_do_not_depend_on_the_start(A, B, a, b, lo, offset):
+    """Yield k - lo of the run from a negative lo is, up to sign, the first yield of the run from k.
+
+    Every yield is content-free, so its (x, y, c) is fixed up to sign by
+    u(k) = x/c and u(k+1) = y/(c*D); a run from the adjugate's power steps
+    the same ints at k >= 0 as a run from 0.
+    """
+    k = lo + offset
+    (x, y, c, _), = islice(horadam._steps(*horadam._start(A, B, a, b, lo)[0]), offset, offset + 1)
+    assert next(horadam._steps(*horadam._start(A, B, a, b, k)[0]))[:3] in ((x, y, c), (-x, -y, -c))
 
 
 @pytest.mark.parametrize(
@@ -866,13 +886,14 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 4 * n + 8
 
 
-# each run with the number of its windows that start far out, at u(n) with n >= 500
+# each run with the number of its windows that start far out, at u(k) with |k| >= 250
 WINDOW_RUNS = {
     "lucas_window(0, 1/2)": (lambda n: lucas_window(0, Fraction(1, 2), 0, n), 0),
     "lucas_window(0, 1/6)": (lambda n: lucas_window(0, Fraction(1, 6), 0, n), 0),
     "lucas_window(0, 1/2) far out": (lambda n: lucas_window(0, Fraction(1, 2), n, 2 * n), 1),  # from u(n) = 0
     "lucas_window(1/2, 1/4)": (lambda n: lucas_window(Fraction(1, 2), Fraction(1, 4), 0, n), 0),
-    "terms(7/3, -5/2) across 0": (lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), -n // 2, n // 2), 0),
+    "terms(7/3, -5/2) across 0": (lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), -n // 2, n // 2), 1),
+    "terms(7/3, -5/2) below 0": (lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), -2 * n, -n), 1),
     "terms(7/3, -5/2) far out": (lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), n, 2 * n), 1),
     "terms(3/2, 2/5) from 1/1000003": (lambda n: terms(Fraction(3, 2), Fraction(2, 5), Fraction(1, 1000003), Fraction(5, 7), 0, n), 0),
 }
@@ -884,7 +905,7 @@ def test_window_terms_take_a_bounded_number_of_small_gcds(monkeypatch, name):
 
     Their number per term does not grow with n.  The start's gcd(c, x, y)
     makes the vector content-free; then every term steps it and strips the
-    term's common factor, a power of the small E*D.  Without the short-cut
+    term's common factor, a power of the small E*Q.  Without the short-cut
     for a zero term, or without either division that keeps the vector
     content-free, the count per term grows by about a fifth from n = 500 to
     n = 4000 on the A = 0 windows.
@@ -903,3 +924,5 @@ def test_coprime_strips_a_common_factor_in_logarithmically_many_rounds(monkeypat
     assert calls <= e.bit_length() + 1
     assert _gcds_run(monkeypatch, lambda: reduced.append(horadam._coprime(0, 6**e, 6))) == 0
     assert reduced[1] == (0, 1)
+    negative = _gcds_run(monkeypatch, lambda: reduced.append(horadam._coprime(5 * 6**e, -(2**e) * 3 ** (2 * e), 6)))
+    assert reduced[2] == (5, -(3**e)) and negative == calls  # the sign of d changes no round
