@@ -31,27 +31,29 @@ the cleared recurrence, P = A*D and Q = B*D**2, which maps (w(k), w(k+1)) to
 through the window; `ratios` steps the cleared coefficients from index 0
 without end.  A negative start is reached by powering the companion's
 adjugate (P, -1, -Q, 0), -Q times its inverse, and the run from it steps
-the companion forward as from any other start, so one integer path serves
-indices of either sign.
+forward as from any other start, so one integer path serves indices of
+either sign.
 
-One int stepper, `_steps`, serves windows and ratio streams alike: it steps
-a content-free vector (x, y, c) by an invertible int matrix M on (x, y) and
-by D on c, and divides each image by its content, which divides the small
-det M, so every step takes one gcd with that small int as an operand.  The
-start's content, gcd(c, x, y), is the one gcd that may have only big
-operands, as at a window far out.  A window, one term included, is
-`_start`'s companion run on c = E*D**lo, or E*(-Q/D)**(-lo) for lo < 0, with
-u(k) = x/c and u(k+1) = y/(c*D); the common factor of a term x/c divides a
-power of E*Q, so `_coprime`, by gcds against E*Q, reduces it.  As every
-yield is content-free, the ints at an index are the same up to sign from
-any start.  A ratio stream is an orbit
-of a Möbius map z -> (m00*z + m01)/(m10*z + m11), run on c = 0 as coprime
-pairs: `_orbit` clears its matrix and seed to ints once, stops before the
-first infinite point, reporting its index, and `exact._from_coprime` builds
-each reduced Fraction without a gcd.  t(k)/t(k+1) of a recurrence is the
-orbit of (0, 1, B, A); `ratios` steps (A, B, 1, 0) without end.  `terms`
-reduces every term it reads; `riccati.substitution_check` reduces only its
-t window and reads its Lucas window and its map's pairs as ints.
+One int stepper, `_steps`, serves windows and ratio streams alike, and it
+steps one shape, the paper's map z -> alpha/(beta*z + gamma), whose
+linearisation makes every ratio stream here one of its orbits: on an int
+vector (x, y, c), (x, y) -> (alpha*y, beta*x + gamma*y) and c -> c*D.  Each
+image is divided by its content, which divides the small -alpha*beta, the
+det of [[0, alpha], [beta, gamma]], so every step takes one gcd with that
+small int as an operand.  The start's content, gcd(c, x, y), is the one gcd
+that may have only big operands, as at a window far out.  A window, one
+term included, runs `_start`'s (1, Q, P) on c = E*D**lo, or
+E*(-Q/D)**(-lo) for lo < 0, with u(k) = x/c and u(k+1) = y/(c*D); the
+common factor of a term x/c divides a power of E*Q, so `_coprime`, by gcds
+against E*Q, reduces it.  As every yield is content-free, the ints at an
+index are the same up to sign from any start.  A ratio stream is an orbit
+run on c = 0 as coprime pairs: `_orbit` clears its (alpha, beta, gamma) and
+seed to ints once, stops before the first infinite point, reporting its
+index, and `exact._from_coprime` builds each reduced Fraction without a
+gcd.  t(k)/t(k+1) of a recurrence is the orbit of (1, B, A); `ratios`
+steps it from (u(0), u(1)) without end, reading each pair upside down.
+`terms` reduces every term it reads; `riccati.substitution_check` reduces
+only its t window and reads its Lucas window and its map's pairs as ints.
 """
 
 from __future__ import annotations
@@ -136,18 +138,17 @@ def _mat_mul(x: tuple, y: tuple) -> tuple:
 def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
     """`_steps`' arguments for u(lo), u(lo+1), ... of the cleared recurrence, and E*Q.
 
-    They are its companion matrix C = (0, 1, Q, P), which maps (w(k), w(k+1))
-    to (w(k+1), w(k+2)), the pair (x, y) and c at lo, and D, so u(k) = x/c
-    and u(k+1) = y/(c*D) at every yield (x, y, c, g).  The start is reached
-    in O(log|lo|) products by powering C, or, for lo < 0, its adjugate
-    (P, -1, -Q, 0), which is -Q times the inverse of C; then c is
+    They are (1, Q, P), whose step takes (w(k), w(k+1)) to (w(k+1), w(k+2)),
+    the pair (x, y) and c at lo, and D, so u(k) = x/c and u(k+1) = y/(c*D) at
+    every yield (x, y, c, g).  The start is reached in O(log|lo|) products by
+    powering that step's matrix C = (0, 1, Q, P), or, for lo < 0, its
+    adjugate (P, -1, -Q, 0), which is -Q times the inverse of C; then c is
     E*(-Q/D)**(-lo), an int that may be negative.  A term's denominator
     divides a power of E*Q at either sign.
     """
     P, Q, w0, w1, E, D = clear(A, B, a, b)
     k = abs(lo)
-    companion = (0, 1, Q, P)
-    base = companion if lo >= 0 else (P, -1, -Q, 0)
+    base = (0, 1, Q, P) if lo >= 0 else (P, -1, -Q, 0)
     result = (1, 0, 0, 1)
     while k:
         if k & 1:
@@ -156,7 +157,7 @@ def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
         k >>= 1
     x, y = result[0] * w0 + result[1] * w1, result[2] * w0 + result[3] * w1
     c = E * D**lo if lo >= 0 else E * (-Q // D) ** -lo
-    return (*companion, x, y, c, D), E * Q
+    return (1, Q, P, x, y, c, D), E * Q
 
 
 def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
@@ -177,24 +178,24 @@ def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
     return n, d
 
 
-def _steps(m00, m01, m10, m11, x, y, c=0, D=1) -> Iterator[tuple[int, int, int, int]]:
-    """(x, y, c, g): the start over gcd(c, x, y), then each image (M*(x, y), c*D) over g, its content.
+def _steps(alpha, beta, gamma, x, y, c=0, D=1) -> Iterator[tuple[int, int, int, int]]:
+    """(x, y, c, g): the start over gcd(c, x, y), then each image (alpha*y, beta*x + gamma*y, c*D) over g, its content.
 
-    M = [[m00, m01], [m10, m11]] is invertible, and D divides det M unless
-    c = 0.  g divides det M: a prime power in g divides det*(x, y), the
-    adjugate of M times the image, so it divides det unless its prime
-    divides both x and y; then the prime does not divide c, so the power
-    divides D.  One gcd against |det| keeps every yield content-free, and g
-    is 1 at the start.  With c = 0 the pairs are coprime points of the
-    Möbius map of M.
+    M = [[0, alpha], [beta, gamma]] steps (x, y); det M = -alpha*beta is
+    nonzero, and D divides it unless c = 0.  g divides det M: a prime power
+    in g divides det*(x, y), the adjugate of M times the image, so it
+    divides det unless its prime divides both x and y; then the prime does
+    not divide c, so the power divides D.  One gcd against |det| keeps every
+    yield content-free, and g is 1 at the start.  With c = 0 the pairs are
+    coprime points of the map z -> alpha/(beta*z + gamma).
     """
     g = gcd(c, x, y)
     if g > 1:
         x, y, c = x // g, y // g, c // g
-    det, g = abs(m00 * m11 - m01 * m10), 1
+    det, g = abs(alpha * beta), 1
     while True:
         yield x, y, c, g
-        x, y, c = m00 * x + m01 * y, m10 * x + m11 * y, c * D
+        x, y, c = alpha * y, beta * x + gamma * y, c * D
         g = gcd(det, x, y, c)
         if g > 1:
             x, y, c = x // g, y // g, c // g
@@ -206,19 +207,19 @@ def _ints(*values) -> list[int]:
     return [value.numerator * (D // value.denominator) for value in values]
 
 
-def _orbit(matrix: tuple, x, y, count: int) -> tuple[list[Fraction], int | None]:
-    """At most `count` points of z -> (m00*z + m01)/(m10*z + m11) from x/y, ending before the first infinite one.
+def _orbit(coefficients: tuple, x, y, count: int) -> tuple[list[Fraction], int | None]:
+    """At most `count` points of z -> alpha/(beta*z + gamma) from x/y, ending before the first infinite one.
 
-    They come with that point's index (a zero denominator, or a 0/0 seed), or None.
+    They come with its index (a zero denominator, or a 0/0 seed), or None; `coefficients` is (alpha, beta, gamma).
     """
-    pairs = islice(_steps(*_ints(*matrix), *_ints(x, y)), count)
+    pairs = islice(_steps(*_ints(*coefficients), *_ints(x, y)), count)
     values = [_from_coprime(a, b) for a, b, _, _ in takewhile(itemgetter(1), pairs)]
     return values, (len(values) if len(values) < count else None)
 
 
 def ratios(A, B, a, b) -> Iterator[Fraction | None]:
-    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0: the orbit of rho -> A + B/rho from u(1)/u(0)."""
-    return (_from_coprime(x, y) if y else None for x, y, _, _ in _steps(*_ints(A, B, 1, 0), *_ints(b, a)))
+    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0: the pairs (u(k), u(k+1)) of z -> 1/(B*z + A) from a/b."""
+    return (_from_coprime(y, x) if x else None for x, y, _, _ in _steps(*_ints(1, B, A), *_ints(a, b)))
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:

@@ -13,10 +13,11 @@ one stepper, and `classify_initial` reads its classification, so x0 is
 forbidden at depth m exactly when the orbit meets the pole at step m.
 
 Each orbit here, and the step where it meets its pole, is read off
-`horadam._orbit` from a matrix: the map's own (0, q, 1, sign*p) and the
-closed form's (0, 1, q, p) for s(k-1)/s(k).  `substitution_check` reads the
-map's own pairs and its t and Lucas windows as ints from the one stepper,
-`horadam._steps`.  No step runs a gcd of two big ints.
+`horadam._orbit` of z -> alpha/(beta*z + gamma) from (alpha, beta, gamma):
+the map's own (q, 1, sign*p), in `substitution_check` too, and the closed
+form's (1, q, p) for s(k-1)/s(k).  `substitution_check` streams its t and
+Lucas windows as ints from `horadam._steps`.  No step runs a gcd of two
+big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -121,7 +122,7 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
-    trajectory, pole_step = _orbit((0, params.q, 1, params._shift), x0, 1, n + 1)
+    trajectory, pole_step = _orbit((params.q, 1, params._shift), x0, 1, n + 1)
     if pole_step is not None:
         classification = Classification("forbidden", pole_step)
     elif params.denominator_at(x0) == 0:
@@ -143,7 +144,7 @@ def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: i
     x0 = as_rational(x0)
     A, B = params.plus_form()
     # g -> 1/(A + B*g) takes s(k-1)/s(k) to s(k)/s(k+1), infinite where s(k+1) = 0
-    s_ratios, stop = _orbit((0, 1, B, A), 1, A + params.sign * x0, n)
+    s_ratios, stop = _orbit((1, B, A), 1, A + params.sign * x0, n)
     if stop is not None:
         raise DomainError(f"initial value {x0} is forbidden at depth {stop + 1}")
     q = params.sign * params.q
@@ -225,13 +226,13 @@ def substitution_check(
     with c(k+1) = c(k)*D/g(k+1) and c_u(k+1) = c_u(k)*D_u/g_u(k+1); only the
     reported t(k) are reduced.  Per k, each identity is one integer equation:
 
-    - x(k) = t(k)/t(k+1), with x(k) read off the map's own orbit of
-      x0 = t0/t1 as a coprime pair (x, y) of (0, q, 1, p):
+    - x(k) = t(k)/t(k+1), with x(k) = x/y in lowest terms read off the
+      map's own orbit of x0 = t0/t1, `horadam._orbit` of (q, 1, p):
       x*g(k+1)*a(k+1) == y*D*a(k) on the link c(k+1)*g(k+1) == c(k)*D,
       which read the pairs of t(k) and t(k+1).  A zero t(k+1) is the pole
       at step k, and the orbit must meet its pole there too.
     - q**k*t(k) = t0*u(k+1) + (q*t1 - p*t0)*u(k).  `clear` gives both
-      windows one int companion, and the t-recurrence's D is q*D_u, so
+      windows one int (1, Q, P), and the t-recurrence's D is q*D_u, so
       s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1) per step, and the
       identity is
       a(k)*s(k)*L*D_u == T0*a_u(k+1)*g_u(k+1) + C*a_u(k)*D_u, where
@@ -251,18 +252,18 @@ def substitution_check(
 
     p, q = params.plus_form()
     (t_start, m), (u_start, _) = _start(p / q, 1 / q, t0, t1, 0), _start(p, q, 0, 1, 0)
-    D, Du = t_start[7], u_start[7]
+    D, Du = t_start[-1], u_start[-1]
     shift = q * t1 - p * t0
     T0, C = _ints(t0, shift)
     LDu = lcm(t0.denominator, shift.denominator) * Du
-    orbit = _steps(*_ints(0, q, 1, p), *_ints(t0, t1))
+    xs, orbit_pole = _orbit((q, 1, p), t0, t1, n + 1)
     t_window, u_window = islice(_steps(*t_start), n + 2), _steps(*u_start)
     a, _, c, _ = next(t_window)
     ua, _, sn, _ = next(u_window)
     sd = c  # s(0) = c_u(0)/c(0)
 
     t_values, ratio_values, orbit_matches, closed_form_matches = [_from_coprime(*_coprime(a, c, m))], [], [], []
-    pole_step = orbit_pole = None
+    pole_step = None
     linked = True  # c(k) == c(k-1)*D/g(k); c(0) starts the chain
     for k in range(n + 2):
         ua_next, _, _, ug = next(u_window)
@@ -273,14 +274,10 @@ def substitution_check(
         t = _from_coprime(*_coprime(a_next, c_next, m))
         linked = c_next * g == c * D
         if pole_step is None:  # x(k) = t(k)/t(k+1)
-            if orbit_pole is None:
-                x, y, _, _ = next(orbit)
-                if not y:
-                    orbit_pole = k
             if not a_next:
                 pole_step = k
-            elif orbit_pole is None and linked and x * g * a_next == y * D * a:
-                ratio_values.append(_from_coprime(x, y))
+            elif k < len(xs) and linked and xs[k].numerator * g * a_next == xs[k].denominator * D * a:
+                ratio_values.append(xs[k])
                 orbit_matches.append(True)
             else:
                 ratio_values.append(t_values[-1] / t)

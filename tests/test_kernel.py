@@ -10,12 +10,14 @@ coefficients'.
 
 The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
-checked the same way, and `horadam._orbit`, which all of them but `ratios`,
-`forbidden_set` and `substitution_check` read, against a Fraction stepper of
-its Möbius map.  `horadam._steps`, the one int stepper under all of them and
-under the windows, is checked against plain matrix powers.  A term planted
-into a window `substitution_check` streams from it fails each identity at
-exactly the steps that read it.  A count of
+checked the same way, and `horadam._orbit`, which all of them but `ratios`
+and `forbidden_set` read, against a Fraction stepper of the one map it
+steps, z -> alpha/(beta*z + gamma).  `horadam._steps`, the one int stepper
+under all of them and under the windows, is checked against plain powers of
+that map's matrix [[0, alpha], [beta, gamma]].  A term planted into a window
+`substitution_check` streams from it fails each identity at exactly the
+steps that read it, and a value planted into the map's orbit it reads fails
+x(k) = t(k)/t(k+1) at that k alone.  A count of
 `Fraction.__new__` calls that must not grow with n keeps a per-step gcd from
 coming back; a count of horadam's own gcd calls holds every pair step to one.
 
@@ -151,25 +153,25 @@ def test_ratios_match_the_fraction_stepper(A, B, a, b, scale, count):
     assert all(ratio is None or _canonical(ratio) for ratio in got)
 
 
-def _mobius_reference(matrix, x, y, count):
-    """(points, stop) of z -> (m00*z + m01)/(m10*z + m11) from x/y, one Fraction step at a time."""
-    m00, m01, m10, m11 = matrix
+def _mobius_reference(coefficients, x, y, count):
+    """(points, stop) of z -> alpha/(beta*z + gamma) from x/y, one Fraction step at a time."""
+    alpha, beta, gamma = coefficients
     points, num, den = [], Fraction(x), Fraction(y)
     for k in range(count):
         if den == 0:
             return points, k
         z = num / den
         points.append(z)
-        num, den = m00 * z + m01, m10 * z + m11
+        num, den = alpha, beta * z + gamma
     return points, None
 
 
-def _pulled_back_pole(matrix, steps):
+def _pulled_back_pole(coefficients, steps):
     """(x, y) whose orbit is infinite at step `steps`: 1/0 taken back `steps` times by the adjugate matrix."""
-    m00, m01, m10, m11 = matrix
+    alpha, beta, gamma = coefficients
     x, y = Fraction(1), Fraction(0)
     for _ in range(steps):
-        x, y = m11 * x - m01 * y, m00 * y - m10 * x
+        x, y = gamma * x - alpha * y, -beta * x
     return x, y
 
 
@@ -178,11 +180,11 @@ entry = rationals | st.integers(-9, 9) | squared
 
 def _recurrence(A, B, a, b, scale, count):
     """_orbit's arguments for t(k)/t(k+1) of t(k+2) = A*t(k+1) + B*t(k), from the seeds scaled by a common factor."""
-    return dict(matrix=(0, 1, B, A), x=scale * a, y=scale * b, count=count + 1)
+    return dict(coefficients=(1, B, A), x=scale * a, y=scale * b, count=count + 1)
 
 
 @PROPERTY
-@given(matrix=st.tuples(entry, entry, entry, entry), x=entry, y=entry, count=st.integers(0, 120), pole_at=st.integers(0, 40))
+@given(coefficients=st.tuples(entry, entry, entry), x=entry, y=entry, count=st.integers(0, 120), pole_at=st.integers(0, 40))
 @example(**_recurrence(Fraction(2, 3), Fraction(-5, 9), Fraction(0), Fraction(1, 4), 1, 40), pole_at=3)  # x(0) = 0
 @example(**_recurrence(1, -1, 1, 1, 1, 12), pole_at=0)  # u(2) = 0: period 6, infinite at step 1
 @example(**_recurrence(2, -4, 1, 2, 6, 30), pole_at=30)  # u(2) = 0 with a common factor 6 in the seed
@@ -190,19 +192,19 @@ def _recurrence(A, B, a, b, scale, count):
 @example(**_recurrence(0, Fraction(9, 4), 0, 1, 12, 20), pole_at=2)  # every even u(k) = 0
 @example(**_recurrence(0, Fraction(9, 4), 1, 0, -4, 20), pole_at=5)  # every odd u(k) = 0: an infinite seed
 @example(**_recurrence(Fraction(5, 2), -3, 0, 0, 1, 20), pole_at=4)  # all zero: 0/0 ends at once
-@example(matrix=(0, Fraction(8, 9), 1, Fraction(-4, 27)), x=Fraction(1, 2), y=1, count=0, pole_at=0)  # count = 0
-@example(matrix=(0, Fraction(8, 9), 1, Fraction(-4, 27)), x=Fraction(1, 2), y=1, count=60, pole_at=25)  # det < 0
-@example(matrix=(2, -1, 3, 5), x=-4, y=6, count=40, pole_at=17)  # int entries, det > 0
-def test_orbit_matches_the_mobius_stepper(matrix, x, y, count, pole_at):
+@example(coefficients=(Fraction(8, 9), 1, Fraction(-4, 27)), x=Fraction(1, 2), y=1, count=0, pole_at=0)  # count = 0
+@example(coefficients=(Fraction(8, 9), 1, Fraction(-4, 27)), x=Fraction(1, 2), y=1, count=60, pole_at=25)  # det < 0
+@example(coefficients=(-1, 3, 5), x=-4, y=6, count=40, pole_at=17)  # int entries, det > 0
+def test_orbit_matches_the_mobius_stepper(coefficients, x, y, count, pole_at):
     """The points and stop of a drawn seed and of one pulled back from infinity by `pole_at` steps."""
-    m00, m01, m10, m11 = matrix
-    assume(m00 * m11 != m01 * m10)
-    for seed in ((x, y), _pulled_back_pole(matrix, pole_at)):
-        points, stop = horadam._orbit(matrix, *seed, count)
-        assert (points, stop) == _mobius_reference(matrix, *seed, count)
+    alpha, beta, _ = coefficients
+    assume(alpha * beta != 0)
+    for seed in ((x, y), _pulled_back_pole(coefficients, pole_at)):
+        points, stop = horadam._orbit(coefficients, *seed, count)
+        assert (points, stop) == _mobius_reference(coefficients, *seed, count)
         assert all(_canonical(z) for z in points)
     if pole_at < count:  # a Möbius map of finite order may meet infinity before `pole_at`, never after it
-        assert horadam._orbit(matrix, *_pulled_back_pole(matrix, pole_at), count)[1] <= pole_at
+        assert horadam._orbit(coefficients, *_pulled_back_pole(coefficients, pole_at), count)[1] <= pole_at
 
 
 small_int = st.integers(-9, 9)
@@ -210,7 +212,7 @@ small_int = st.integers(-9, 9)
 
 @PROPERTY
 @given(
-    matrix=st.tuples(small_int, small_int, small_int, small_int),
+    coefficients=st.tuples(small_int, small_int, small_int),
     x=st.integers(-10**6, 10**6),
     y=st.integers(-10**6, 10**6),
     c=st.just(0) | st.integers(1, 10**6),
@@ -218,22 +220,23 @@ small_int = st.integers(-9, 9)
     count=st.integers(1, 40),
     d=st.integers(1, 200),
 )
-@example(matrix=(2, 0, 0, 2), x=2, y=2, c=1, scale=1, count=10, d=4)  # 2 divides x and y but not c: the content comes from D
-@example(matrix=(0, 1, 3, 0), x=0, y=0, c=5, scale=7, count=10, d=3)  # a zero pair: (0, 0, 1) throughout
-@example(matrix=(0, 1, -90, 14), x=3, y=-60, c=12, scale=1, count=30, d=6)  # _start's companion of (7/3, -5/2)
-@example(matrix=(2, -1, 3, 5), x=-4, y=6, c=0, scale=6, count=40, d=1)  # c = 0: coprime pairs
-def test_steps_yield_the_content_free_matrix_powers(matrix, x, y, c, scale, count, d):
+@example(coefficients=(2, 2, 0), x=2, y=2, c=1, scale=1, count=10, d=4)  # 2 divides x and y but not c: the content comes from D
+@example(coefficients=(1, 3, 0), x=0, y=0, c=5, scale=7, count=10, d=3)  # a zero pair: (0, 0, 1) throughout
+@example(coefficients=(1, -90, 14), x=3, y=-60, c=12, scale=1, count=30, d=6)  # _start's (1, Q, P) of (7/3, -5/2)
+@example(coefficients=(-1, 3, 5), x=-4, y=6, c=0, scale=6, count=40, d=1)  # c = 0: coprime pairs
+def test_steps_yield_the_content_free_matrix_powers(coefficients, x, y, c, scale, count, d):
     """Yield k of `_steps` is (M**k*(x, y), c*D**k) over its content, for D = gcd(d, det M), a divisor of det M.
 
-    Its g divides det, is 1 at the start, and times the yield is the image of the one before.
+    M = [[0, alpha], [beta, gamma]], so det M = -alpha*beta.  Its g divides
+    det M, is 1 at the start, and times the yield is the image of the one before.
     """
-    m00, m01, m10, m11 = matrix
-    det = m00 * m11 - m01 * m10
+    alpha, beta, gamma = coefficients
+    det = -alpha * beta
     assume(det != 0)
     assume(x or y or c)
     D = gcd(d, det)
     ref, previous = (scale * x, scale * y, scale * c), None
-    for sx, sy, sc, g in islice(horadam._steps(*matrix, *ref, D), count):
+    for sx, sy, sc, g in islice(horadam._steps(*coefficients, *ref, D), count):
         content = gcd(*ref)
         assert (sx, sy, sc) == tuple(value // content for value in ref)
         assert gcd(sx, sy, sc) == 1
@@ -242,9 +245,9 @@ def test_steps_yield_the_content_free_matrix_powers(matrix, x, y, c, scale, coun
             assert g == 1
         else:
             px, py, pc = previous
-            assert (g * sx, g * sy, g * sc) == (m00 * px + m01 * py, m10 * px + m11 * py, pc * D)
+            assert (g * sx, g * sy, g * sc) == (alpha * py, beta * px + gamma * py, pc * D)
         previous = sx, sy, sc
-        ref = (m00 * ref[0] + m01 * ref[1], m10 * ref[0] + m11 * ref[1], ref[2] * D)
+        ref = (alpha * ref[1], beta * ref[0] + gamma * ref[1], ref[2] * D)
 
 
 def _orbit_reference(p, q, sign, x0, n):
@@ -387,7 +390,7 @@ def test_substitution_check_matches_the_fraction_formulation(p, q, t0, t1, n):
 @given(p=positive | prime_power, q=positive | prime_power, t0=rationals, t1=nonzero)
 @example(p=Fraction(2), q=Fraction(4), t0=Fraction(1), t1=Fraction(1))
 def test_substitution_windows_share_one_companion_and_scale_by_q(p, q, t0, t1):
-    """The t window of (p/q, 1/q) and the Lucas window of (p, q) step one int companion, and D_t = q*D_u.
+    """The t window of (p/q, 1/q) and the Lucas window of (p, q) step one int (1, Q, P), and D_t = q*D_u.
 
     `substitution_check`'s scale s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1)
     per step only because of this: `clear` takes D = lcm(den A, den B), and
@@ -397,8 +400,8 @@ def test_substitution_windows_share_one_companion_and_scale_by_q(p, q, t0, t1):
     q*D_u = 4.
     """
     t_start, u_start = horadam._start(p / q, 1 / q, t0, t1, 0)[0], horadam._start(p, q, 0, 1, 0)[0]
-    assert t_start[:4] == u_start[:4]
-    assert t_start[7] == q * u_start[7]
+    assert t_start[:3] == u_start[:3]
+    assert t_start[-1] == q * u_start[-1]
 
 
 SUBST_MAP, SUBST_SEED = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS), (Fraction(1, 3), Fraction(2, 5))
@@ -452,6 +455,32 @@ def test_substitution_check_orbit_test_reads_the_reported_t_window(monkeypatch):
     assert report.closed_form_matches == tuple(k != 5 for k in range(n + 2))
     assert report.ratio_values[4:6] == (t[4] / t[5], t[5] / t[6])
     assert report.pole_step is None and not report.passed
+
+
+@pytest.mark.parametrize("planted", [0, 7, 20])
+def test_substitution_check_fails_exactly_at_a_planted_map_value(monkeypatch, planted):
+    """A wrong x(k) in the map's own orbit fails x(k) = t(k)/t(k+1) at k alone.
+
+    The ratio reported there is the window's own t(k)/t(k+1), and the
+    windows and the closed form are read as before.
+    """
+    n = 20
+    honest = substitution_check(SUBST_MAP, *SUBST_SEED, n)
+    real = riccati._orbit
+
+    def planted_orbit(*args):
+        xs, stop = real(*args)
+        xs[planted] += 1
+        return xs, stop
+
+    monkeypatch.setattr(riccati, "_orbit", planted_orbit)
+    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
+    t = report.t_values
+    assert report.orbit_matches == tuple(k != planted for k in range(n + 1))
+    assert report.ratio_values[planted] == t[planted] / t[planted + 1]
+    assert (report.t_values, report.ratio_values) == (honest.t_values, honest.ratio_values)
+    assert (report.closed_form_matches, report.pole_step) == (honest.closed_form_matches, honest.pole_step)
+    assert not report.passed
 
 
 @pytest.mark.parametrize("params, t0, t1, n, planted", [
