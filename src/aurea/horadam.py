@@ -18,7 +18,7 @@ sign flip can creep in between the canonical Horadam form and the closed
 forms.  The linearising substitution x(n) = t(n)/t(n+1) runs the same kernel
 on (p/q, 1/q).
 
-The kernel steps plain ints.  `clear` takes D = lcm(den A, den B) and
+The kernel steps plain ints.  `_start` takes D = lcm(den A, den B) and
 E = lcm(den u(0), den u(1)); then u(k) = w(k) / (E*D**k), where
 
     w(k+2) = (A*D)*w(k+1) + (B*D**2)*w(k),    w(0) = E*u(0),  w(1) = E*D*u(1),
@@ -27,12 +27,13 @@ is an integer recurrence, so each returned term costs one reduction at the
 end instead of a gcd-reduced Fraction at every step.  `terms` reaches its
 start by powering the companion matrix (0, 1, Q, P) = [[0, 1], [Q, P]] of
 the cleared recurrence, P = A*D and Q = B*D**2, which maps (w(k), w(k+1)) to
-(w(k+1), w(k+2)), in O(log|lo|) products, and steps one term at a time only
-through the window; `ratios` steps the cleared coefficients from index 0
-without end.  A negative start is reached by powering the companion's
-adjugate (P, -1, -Q, 0), -Q times its inverse, and the run from it steps
-forward as from any other start, so one integer path serves indices of
-either sign.
+(w(k+1), w(k+2)): `_start` squares that one matrix O(log|lo|) times and
+applies each power whose bit is set in |lo| to the pair (w(0), w(1)).
+`terms` steps one term at a time only through the window; `ratios` steps
+the cleared coefficients from index 0 without end.  A negative start is
+reached by powering the companion's adjugate (P, -1, -Q, 0), -Q times its
+inverse, and the run from it steps forward as from any other start, so one
+integer path serves indices of either sign.
 
 One int stepper, `_steps`, serves windows and ratio streams alike, and it
 steps one shape, the paper's map z -> alpha/(beta*z + gamma), whose
@@ -108,54 +109,35 @@ class SequenceWindow(_Record):
     values: tuple[Fraction, ...]
 
 
-def clear(A, B, a, b) -> tuple[int, int, int, int, int, int]:
-    """Integer form (P, Q, w(0), w(1), E, D) of u(k+2) = A*u(k+1) + B*u(k) from (a, b).
+def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
+    """`_steps`' arguments for u(lo), u(lo+1), ... of u(k+2) = A*u(k+1) + B*u(k) from (a, b), and E*Q.
 
     With D = lcm(den A, den B) and E = lcm(den a, den b), u(k) = w(k) / (E*D**k)
-    where w(k+2) = P*w(k+1) + Q*w(k), P = A*D and Q = B*D**2 are ints.
+    where w(k+2) = P*w(k+1) + Q*w(k), P = A*D and Q = B*D**2 are ints.  The
+    arguments are (1, Q, P), whose step takes (w(k), w(k+1)) to
+    (w(k+1), w(k+2)), the pair (x, y) and c at lo, and D, so u(k) = x/c and
+    u(k+1) = y/(c*D) at every yield (x, y, c, g).  The pair is reached from
+    (w(0), w(1)) by powering that step's matrix C = (0, 1, Q, P), or, for
+    lo < 0, its adjugate (P, -1, -Q, 0), which is -Q times the inverse of C;
+    then c is E*(-Q/D)**(-lo), an int that may be negative.  That one matrix
+    M is squared O(log|lo|) times, and M**(2**i) is applied to the pair for
+    each bit i set in |lo|, low bit first: powers of one matrix commute, so
+    the ints are those of M**|lo| applied once.  A term's denominator
+    divides a power of E*Q at either sign.
     """
     D = lcm(A.denominator, B.denominator)
     E = lcm(a.denominator, b.denominator)
-    return (
-        A.numerator * (D // A.denominator),
-        B.numerator * (D // B.denominator) * D,
-        a.numerator * (E // a.denominator),
-        b.numerator * (E // b.denominator) * D,
-        E,
-        D,
-    )
-
-
-def _mat_mul(x: tuple, y: tuple) -> tuple:
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
-    """`_steps`' arguments for u(lo), u(lo+1), ... of the cleared recurrence, and E*Q.
-
-    They are (1, Q, P), whose step takes (w(k), w(k+1)) to (w(k+1), w(k+2)),
-    the pair (x, y) and c at lo, and D, so u(k) = x/c and u(k+1) = y/(c*D) at
-    every yield (x, y, c, g).  The start is reached in O(log|lo|) products by
-    powering that step's matrix C = (0, 1, Q, P), or, for lo < 0, its
-    adjugate (P, -1, -Q, 0), which is -Q times the inverse of C; then c is
-    E*(-Q/D)**(-lo), an int that may be negative.  A term's denominator
-    divides a power of E*Q at either sign.
-    """
-    P, Q, w0, w1, E, D = clear(A, B, a, b)
+    P, Q = A.numerator * (D // A.denominator), B.numerator * (D // B.denominator) * D
+    x, y = a.numerator * (E // a.denominator), b.numerator * (E // b.denominator) * D
+    m00, m01, m10, m11 = (0, 1, Q, P) if lo >= 0 else (P, -1, -Q, 0)
     k = abs(lo)
-    base = (0, 1, Q, P) if lo >= 0 else (P, -1, -Q, 0)
-    result = (1, 0, 0, 1)
     while k:
         if k & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
+            x, y = m00 * x + m01 * y, m10 * x + m11 * y
+        m00, m01, m10, m11 = (
+            m00 * m00 + m01 * m10, m00 * m01 + m01 * m11, m10 * m00 + m11 * m10, m10 * m01 + m11 * m11
+        )
         k >>= 1
-    x, y = result[0] * w0 + result[1] * w1, result[2] * w0 + result[3] * w1
     c = E * D**lo if lo >= 0 else E * (-Q // D) ** -lo
     return (1, Q, P, x, y, c, D), E * Q
 
@@ -238,7 +220,7 @@ def horadam_term(params: RecurrenceParams, n: int) -> Fraction:
     return terms(*params.plus_form(), params.w0, params.w1, n, n)[0]
 
 
-fast_term = horadam_term  # the older name; horadam_term already reaches n in O(log|n|) products
+fast_term = horadam_term  # the older name; horadam_term already reaches n in O(log|n|) squarings
 
 
 def window(params: RecurrenceParams, start: int, length: int) -> SequenceWindow:

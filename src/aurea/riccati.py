@@ -231,7 +231,7 @@ def substitution_check(
       x*g(k+1)*a(k+1) == y*D*a(k) on the link c(k+1)*g(k+1) == c(k)*D,
       which read the pairs of t(k) and t(k+1).  A zero t(k+1) is the pole
       at step k, and the orbit must meet its pole there too.
-    - q**k*t(k) = t0*u(k+1) + (q*t1 - p*t0)*u(k).  `clear` gives both
+    - q**k*t(k) = t0*u(k+1) + (q*t1 - p*t0)*u(k).  `_start` gives both
       windows one int (1, Q, P), and the t-recurrence's D is q*D_u, so
       s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1) per step, and the
       identity is

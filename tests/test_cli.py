@@ -216,8 +216,9 @@ def test_digits_out_of_range_exits_3(capsys, digits, top_level):
         ("zero", "3", "invalid rational literal 'zero'"),
         ("0", "x", "--n must be an index or an inclusive range like 0..7, got 'x'"),
         ("0", "1..x", "--n must be an index or an inclusive range like 0..7, got '1..x'"),
+        ("0", "5..3", "empty index range '5..3'"),
     ],
-    ids=["w0", "n", "n-range"],
+    ids=["w0", "n", "n-range", "n-empty-range"],
 )
 def test_bad_rational_exits_3(capsys, w0, n, message):
     code, _, err = run_cli(capsys, ["horadam", "--w0", w0, "--w1", "1", "--p", "1", "--q", "1", "--n", n])

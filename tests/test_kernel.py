@@ -1,8 +1,9 @@
 """Differential tests for the integer recurrence kernel in `aurea.horadam`.
 
-`terms` (the one value reader) and `fast_term` clear denominators once, power
-the integer companion matrix, or below 0 its adjugate, to a window's start
-and step ints forward from there, a window of one term included, and
+`terms` (the one value reader) and `fast_term` clear denominators once in
+`_start`, which squares the integer companion matrix, or below 0 its
+adjugate, and applies its powers to the pair at 0 to reach a window's start;
+they step ints forward from there, a window of one term included, and
 `ratios` steps the same ints from index 0;
 here they are checked against a plain-Fraction stepper that does none of
 this, on seeds whose denominators differ from each other and from the
@@ -393,7 +394,7 @@ def test_substitution_windows_share_one_companion_and_scale_by_q(p, q, t0, t1):
     """The t window of (p/q, 1/q) and the Lucas window of (p, q) step one int (1, Q, P), and D_t = q*D_u.
 
     `substitution_check`'s scale s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1)
-    per step only because of this: `clear` takes D = lcm(den A, den B), and
+    per step only because of this: `_start` takes D = lcm(den A, den B), and
     for each prime the valuation of lcm(den p/q, den 1/q) is that of q plus
     that of lcm(den p, den q).  A clearing by the least D with A*D and B*D**2
     integral breaks it: at p = 2, q = 4 the t window's least D is 2, against
@@ -455,6 +456,21 @@ def test_substitution_check_orbit_test_reads_the_reported_t_window(monkeypatch):
     assert report.closed_form_matches == tuple(k != 5 for k in range(n + 2))
     assert report.ratio_values[4:6] == (t[4] / t[5], t[5] / t[6])
     assert report.pole_step is None and not report.passed
+
+
+def test_substitution_check_fails_where_the_pole_accounts_differ(monkeypatch):
+    """A t(6) planted as 0 puts the window's pole at step 5, where the map's orbit has none.
+
+    The steps before it match, the disagreeing pole accounts append one
+    False, and the closed form fails at 6 alone.
+    """
+    n = 20
+    _plant(monkeypatch, T_START, 6, lambda a, c: (0, c))
+    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
+    assert report.pole_step == 5
+    assert report.orbit_matches == (True,) * 5 + (False,)
+    assert report.closed_form_matches == tuple(k != 6 for k in range(n + 2))
+    assert not report.passed
 
 
 @pytest.mark.parametrize("planted", [0, 7, 20])
