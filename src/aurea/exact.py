@@ -9,6 +9,11 @@ builder, `_operator`, builds an arithmetic operator's one surd from its formula
 for the two rational parts; one sign core, `_difference_sign`, decides
 `sign()`, the orderings and `abs_lt`/`abs_le` in integers, building no surd for
 any bound.  A power reads one pair of the `horadam` kernel (see `__pow__`).
+`_floor` gives the exact floor of a + b*sqrt(d) from one `isqrt`, for
+`decimal_str` and for `_cut`: a caller that compares many rationals with one
+fixed surd brackets it once between consecutive multiples of 2**-bits, and
+decides each comparison outside that bracket with one integer product; only
+a rational inside the bracket reaches the sign core.
 `_Record` is the one base of every library value type, `QuadraticSurd` included.
 """
 
@@ -207,6 +212,45 @@ def _difference_sign(a, b, c, e, d: int) -> int:
     ad, bd, cd, ed = a.denominator, b.denominator, c.denominator, e.denominator
     p = (a.numerator * cd - c.numerator * ad) * bd * ed
     return _int_sign(p, (b.numerator * ed - e.numerator * bd) * ad * cd, d)
+
+
+def _floor(a, b, d: int) -> int:
+    """Exact floor of a + b*sqrt(d) for int or Fraction parts, sqrt(d) irrational unless b == 0.
+
+    Over a common denominator Q > 0 the value is (P + r*sqrt(d))/Q with ints P
+    and r, and r*sqrt(d) = ±sqrt(R), R = r*r*d zero or a non-square, so the
+    floor is (P + isqrt(R)) // Q, or (P - isqrt(R) - 1) // Q for r < 0.
+    """
+    q = lcm(a.denominator, b.denominator)
+    p = a.numerator * (q // a.denominator)
+    r = b.numerator * (q // b.denominator)
+    s = isqrt(r * r * d)
+    return (p + s) // q if r >= 0 else (p - s - 1) // q
+
+
+def _cut(value: QuadraticSurd, bits: int):
+    """r -> sign(r - value) for a rational r = n/m, m > 0, exact, against one value read many times.
+
+    L = floor(value*2**bits) is computed once, so L <= value*2**bits < L + 1.
+    Then n*2**bits < L*m puts r below value and n*2**bits >= (L + 1)*m puts it
+    above, each decided by one product; only an r with r*2**bits in [L, L + 1)
+    reaches the sign core.  A rational-valued value is compared directly.
+    """
+    a, b, d = value.a, value.b, value.d
+    if b == 0:
+        return lambda r: (r > a) - (r < a)
+    low = _floor(a * (1 << bits), b * (1 << bits), d)
+
+    def sign(r) -> int:
+        scaled, m = r.numerator << bits, r.denominator
+        below = low * m
+        if scaled < below:
+            return -1
+        if scaled >= below + m:
+            return 1
+        return _difference_sign(r, 0, a, b, d)
+
+    return sign
 
 
 def _ordering(test):
@@ -419,10 +463,8 @@ def quadratic_roots(p: Fraction | int | str, q: Fraction | int | str) -> tuple[Q
 def decimal_str(value: QuadraticSurd | Fraction | int, digits: int = 12) -> str:
     """Correctly rounded fixed-point decimal rendering, half away from zero.
 
-    |value|*10**digits + 1/2 is written as (P ± sqrt(R))/Q with integers P,
-    Q > 0 and R zero or a non-square, so its floor, the rounded magnitude in
-    units of the last digit, is exact: (P + isqrt(R)) // Q, or
-    (P - isqrt(R) - 1) // Q for the minus sign.
+    The rounded magnitude in units of the last digit is the exact `_floor`
+    of |value|*10**digits + 1/2.
     """
     if digits < 0:
         raise ValueError("digits must be nonnegative")
@@ -434,12 +476,7 @@ def decimal_str(value: QuadraticSurd | Fraction | int, digits: int = 12) -> str:
     if negative:
         a, b = -a, -b
     scale = 10**digits
-    rational, root = a * scale + Fraction(1, 2), b * scale
-    q = lcm(rational.denominator, root.denominator)
-    p = rational.numerator * (q // rational.denominator)
-    r = root.numerator * (q // root.denominator)
-    s = isqrt(r * r * d)
-    units = (p + s) // q if r >= 0 else (p - s - 1) // q
+    units = _floor(a * scale + Fraction(1, 2), b * scale, d)
     sign = "-" if negative and units > 0 else ""
     whole, frac = divmod(units, scale)
     if digits == 0:

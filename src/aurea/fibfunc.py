@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import DomainError, QuadraticSurd, _Record, as_rational, format_rational
+from .exact import DomainError, QuadraticSurd, _cut, _Record, as_rational, format_rational
 from .horadam import _orbit, ratios, terms
 from .limits import ODD, STANDARD, ConvergenceCertificate, RatioParams, certificate, dominant_root
 
@@ -141,8 +141,12 @@ def verify_convergence(
     """For every offset, find the first n with |f(ξ+(n+1)k)/f(ξ+nk) - target| < epsilon.
 
     The target is the dominant root of x**2 = r*x + s, negated for the odd
-    form; each ratio is compared exactly with the interval (target - epsilon,
-    target + epsilon), whose two surd ends are built once, not per step.
+    form; each ratio is compared exactly, and strictly, with the interval
+    (target - epsilon, target + epsilon).  Each end is built and bracketed
+    once per call between consecutive multiples of 2**-bits, bits being the
+    bit length of epsilon's denominator plus 64, so a ratio outside both
+    brackets is placed by one integer product per end; only a ratio inside a
+    bracket reaches the exact sign core.
     Golden seeds with a definite sign pattern additionally carry the Cauchy
     certificate bounding the same tail.  Seeds outside that pattern are
     iterated to the horizon and reported as-is.
@@ -154,7 +158,8 @@ def verify_convergence(
         raise ValueError("horizon must be nonnegative")
     kind = seed.kind
     target = kind.sign * dominant_root(kind.r, kind.s)
-    low, high = target - epsilon, target + epsilon
+    bits = epsilon.denominator.bit_length() + 64
+    above_low, above_high = _cut(target - epsilon, bits), _cut(target + epsilon, bits)
     A, B = kind.plus_form()
     reports = []
     for offset, (f0, f1) in zip(seed.offsets, seed.seed_pairs):
@@ -168,7 +173,7 @@ def verify_convergence(
         for n, ratio in zip(range(horizon + 1), ratios(A, B, f0, f1)):
             if ratio is not None:
                 achieved = ratio
-                if low < ratio < high:
+                if above_low(ratio) > 0 > above_high(ratio):
                     first_step = n
                     break
         reports.append(OffsetReport(offset, target, epsilon, first_step, achieved, horizon, cert))

@@ -27,6 +27,7 @@ from .exact import (
     STANDARD,
     DomainError,
     QuadraticSurd,
+    _cut,
     _Record,
     as_rational,
     quadratic_roots,
@@ -244,14 +245,16 @@ def nesting_check(n_max: int) -> NestingReport:
     the limit with alternating order (even n below φ - 1, odd n above)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    limit = GOLDEN_RATIO - 1
     convergent_failures = []
     ordering_failures = []
     fib = [f.numerator for f in terms(1, 1, 0, 1, 0, n_max + 1)]
+    # F(n)/F(n+1) is further than 1/(3*F(n+1)**2) from φ - 1, so a bracket of
+    # width 2**-bits below 1/(256*F(n_max+1)**2) decides every side by one product
+    above_limit = _cut(GOLDEN_RATIO - 1, 2 * fib[-1].bit_length() + 8)
     orbit = ratio_orbit(RatioParams(1, 1), 0, n_max).trajectory
     for n, g in enumerate(orbit):
         if g.numerator * fib[n + 1] != g.denominator * fib[n]:  # g == F(n)/F(n+1), cross-multiplied
             convergent_failures.append(n)
-        if (g < limit) != (n % 2 == 0):  # g never equals the irrational limit
+        if (above_limit(g) < 0) != (n % 2 == 0):  # g never equals the irrational limit
             ordering_failures.append(n)
     return NestingReport(n_max, tuple(convergent_failures), tuple(ordering_failures))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _from_coprime, _Record, as_rational, quadratic_roots
 from .horadam import _coprime, _ints, _orbit, _start, _steps, ratios
@@ -147,8 +147,15 @@ def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: i
     s_ratios, stop = _orbit((1, B, A), 1, A + params.sign * x0, n)
     if stop is not None:
         raise DomainError(f"initial value {x0} is forbidden at depth {stop + 1}")
-    q = params.sign * params.q
-    return [x0] + [q * ratio for ratio in s_ratios]
+    # each ratio x/y is coprime with y > 0, so the only common factors of sign*q*x and q_den*y
+    # are gcd(q, y) and gcd(q_den, x), each a gcd with one of q's small parts
+    q, q_den = params.sign * params.q.numerator, params.q.denominator
+    values = [x0]
+    for ratio in s_ratios:
+        x, y = ratio.numerator, ratio.denominator
+        g = gcd(q, y) * gcd(q_den, x)
+        values.append(_from_coprime(q * x // g, q_den * y // g))
+    return values
 
 
 def closed_form_term(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Fraction:

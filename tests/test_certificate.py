@@ -33,6 +33,7 @@ def scanned_N(f0, fk, epsilon):
 )
 @example(f0=Fraction(1), fk=Fraction(1), digits=0, mantissa=1)
 @example(f0=Fraction(0), fk=Fraction(1), digits=1, mantissa=5)  # epsilon equals c = 1/2
+@example(f0=Fraction(1), fk=Fraction(1), digits=1, mantissa=2)  # c = 1/6 < epsilon = 1/5: N = 2, below the log estimate
 def test_certificate_N_matches_the_scan(f0, fk, digits, mantissa):
     epsilon = Fraction(mantissa, 10**digits)
     assert certificate(f0, fk, epsilon).N == scanned_N(f0, fk, epsilon)

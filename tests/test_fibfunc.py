@@ -193,6 +193,17 @@ def test_verify_non_golden_coefficients_have_no_certificate():
     assert report.converged and report.first_step <= 60
 
 
+@pytest.mark.parametrize("epsilon, first_step, ratio", [
+    (Fraction(1, 3), 3, Fraction(11, 5)),  # the ratio 5/3 at n = 2 is target - epsilon
+    (Fraction(1, 5), 4, Fraction(21, 11)),  # the ratio 11/5 at n = 3 is target + epsilon
+])
+def test_verify_is_strict_at_both_ends_of_a_rational_target(epsilon, first_step, ratio):
+    """r = 1, s = 2 has the rational target 2; from (1, 1) the ratios are 1, 3, 5/3, 11/5, 21/11, ..."""
+    (report,) = verify_convergence(_seed(RatioParams(1, 2), [(1, 1)]), epsilon)
+    assert report.target == 2
+    assert (report.first_step, report.ratio) == (first_step, ratio)
+
+
 def test_golden_power_trace_is_exact_witness():
     phi = GOLDEN_RATIO
     powers = golden_power_trace(-5, 10)

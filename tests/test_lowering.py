@@ -14,6 +14,7 @@ that `classify_initial` reads off the orbit.
 
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from aurea.exact import DomainError, QuadraticSurd  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, extend, ratio_trace  # noqa: E402
 from aurea.horadam import (  # noqa: E402
     RecurrenceParams,
+    _orbit,
     fast_term,
     fundamental_lucas,
     horadam_term,
@@ -270,6 +272,40 @@ def test_forbidden_depth_is_where_the_iterated_orbit_meets_the_pole(p, q, branch
         assert label == f"forbidden_depth({orbit.pole_step})"
         with pytest.raises(DomainError, match=f" is forbidden at depth {orbit.pole_step}$"):
             closed_form_trajectory(params, x0, n)
+
+
+def _multiplied_closed_form(params, x0, n):
+    """The closed form with one Fraction multiply per value, sign*q*s(k-1)/s(k), or the text of its refusal."""
+    A, B = params.plus_form()
+    s_ratios, stop = _orbit((1, B, A), 1, A + params.sign * x0, n)
+    if stop is not None:
+        return None, f"initial value {x0} is forbidden at depth {stop + 1}"
+    return [x0] + [params.sign * params.q * ratio for ratio in s_ratios], None
+
+
+@PROPERTY
+@given(
+    p=positive,
+    q=positive | st.sampled_from([Fraction(6, 35), Fraction(35, 6), Fraction(12)]),
+    branch=st.sampled_from([PLUS, MINUS]),
+    x0=rationals,
+    beyond=st.sampled_from([None, -1, 0, 1]),
+    n=st.integers(0, 40),
+)
+@example(p=Fraction(7, 3), q=Fraction(5, 2), branch=MINUS, x0=Fraction(1, 2), beyond=None, n=30)
+@example(p=Fraction(1), q=Fraction(6, 35), branch=PLUS, x0=Fraction(0), beyond=0, n=1)
+def test_closed_form_values_equal_the_multiplied_ratios(p, q, branch, x0, beyond, n):
+    """Each value, reduced with gcds against q's parts, is the reduced Fraction sign*q*ratio.
+
+    An x0 forbidden at depth n + beyond (n - 1, n or n + 1) is refused with the same text, or runs.
+    """
+    params = RiccatiParams(p, q, branch)
+    if beyond is not None and n + beyond >= 1:
+        x0 = forbidden_set(params, n + beyond)[-1]
+    values, refusal = _closed_form_or_refusal(params, x0, n)
+    assert (values, refusal) == _multiplied_closed_form(params, x0, n)
+    for value in values or ():
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
 
 
 @st.composite
