@@ -231,9 +231,10 @@ def _floor(a, b, d: int) -> int:
 def _cut(value: QuadraticSurd, bits: int):
     """r -> sign(r - value) for a rational r = n/m, m > 0, exact, against one value read many times.
 
-    L = floor(value*2**bits) is computed once, so L <= value*2**bits < L + 1.
-    Then n*2**bits < L*m puts r below value and n*2**bits >= (L + 1)*m puts it
-    above, each decided by one product; only an r with r*2**bits in [L, L + 1)
+    L = floor(value*2**bits) is computed once, so L < value*2**bits < L + 1,
+    strictly, as an irrational value is no multiple of 2**-bits.  Then
+    n*2**bits <= L*m puts r below value and n*2**bits >= (L + 1)*m puts it
+    above, each decided by one product; only an r with r*2**bits in (L, L + 1)
     reaches the sign core.  A rational-valued value is compared directly.
     """
     a, b, d = value.a, value.b, value.d
@@ -244,7 +245,7 @@ def _cut(value: QuadraticSurd, bits: int):
     def sign(r) -> int:
         scaled, m = r.numerator << bits, r.denominator
         below = low * m
-        if scaled < below:
+        if scaled <= below:
             return -1
         if scaled >= below + m:
             return 1

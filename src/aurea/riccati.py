@@ -12,12 +12,14 @@ An initial value's fate is decided by its orbit alone: `iterate_orbit` is the
 one stepper, and `classify_initial` reads its classification, so x0 is
 forbidden at depth m exactly when the orbit meets the pole at step m.
 
-Each orbit here, and the step where it meets its pole, is read off
-`horadam._orbit` of z -> alpha/(beta*z + gamma) from (alpha, beta, gamma):
-the map's own (q, 1, sign*p), in `substitution_check` too, and the closed
-form's (1, q, p) for s(k-1)/s(k).  `substitution_check` streams its t and
-Lucas windows as ints from `horadam._steps`.  No step runs a gcd of two
-big ints.
+The map's matrix (q, 1, sign*p) is written once, in `iterate_orbit`, which
+reads the orbit and the step where it meets its pole off `horadam._orbit` of
+z -> alpha/(beta*z + gamma).  The closed form and `substitution_check` read
+that one orbit: s(k-1)/s(k) steps by z -> 1/(q*z + p), and x = sign*q*z
+turns that step into the map's own, so the closed form's values are the
+orbit's and its refusal depth is the orbit's pole step.  `substitution_check`
+streams its t and Lucas windows as ints from `horadam._steps`.  No step runs
+a gcd of two big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 
 from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _from_coprime, _Record, as_rational, quadratic_roots
 from .horadam import _coprime, _ints, _orbit, _start, _steps, ratios
@@ -135,31 +137,19 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
 
 
 def closed_form_trajectory(params: RiccatiParams, x0: Fraction | int | str, n: int) -> list[Fraction]:
-    """Orbit values x0 .. xn from the closed form x(k) = sign*q*s(k-1)/s(k).
+    """Orbit values x0 .. xn of the closed form x(k) = sign*q*s(k-1)/s(k), which are `iterate_orbit`'s.
 
-    x0 is forbidden at depth k exactly when s(k) = 0; the first such k <= n is refused.
+    s(k) = 0 exactly when x(k-1) is the pole, so the first depth k <= n where
+    the orbit meets the pole is refused.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x0 = as_rational(x0)
-    A, B = params.plus_form()
-    # g -> 1/(A + B*g) takes s(k-1)/s(k) to s(k)/s(k+1), infinite where s(k+1) = 0
-    s_ratios, stop = _orbit((1, B, A), 1, A + params.sign * x0, n)
-    if stop is not None:
-        raise DomainError(f"initial value {x0} is forbidden at depth {stop + 1}")
-    # each ratio x/y is coprime with y > 0, so the only common factors of sign*q*x and q_den*y
-    # are gcd(q, y) and gcd(q_den, x), each a gcd with one of q's small parts
-    q, q_den = params.sign * params.q.numerator, params.q.denominator
-    values = [x0]
-    for ratio in s_ratios:
-        x, y = ratio.numerator, ratio.denominator
-        g = gcd(q, y) * gcd(q_den, x)
-        values.append(_from_coprime(q * x // g, q_den * y // g))
-    return values
+    orbit = iterate_orbit(params, x0, n)
+    if orbit.pole_step is not None:
+        raise DomainError(f"initial value {orbit.trajectory[0]} is forbidden at depth {orbit.pole_step}")
+    return list(orbit.trajectory)
 
 
 def closed_form_term(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Fraction:
-    """The n-th orbit value from the closed form alone (no iteration of the map)."""
+    """The n-th orbit value of the closed form, refused as `closed_form_trajectory` refuses."""
     return closed_form_trajectory(params, x0, n)[n]
 
 
@@ -234,7 +224,7 @@ def substitution_check(
     reported t(k) are reduced.  Per k, each identity is one integer equation:
 
     - x(k) = t(k)/t(k+1), with x(k) = x/y in lowest terms read off the
-      map's own orbit of x0 = t0/t1, `horadam._orbit` of (q, 1, p):
+      map's own orbit of x0 = t0/t1, `iterate_orbit`:
       x*g(k+1)*a(k+1) == y*D*a(k) on the link c(k+1)*g(k+1) == c(k)*D,
       which read the pairs of t(k) and t(k+1).  A zero t(k+1) is the pole
       at step k, and the orbit must meet its pole there too.
@@ -263,7 +253,8 @@ def substitution_check(
     shift = q * t1 - p * t0
     T0, C = _ints(t0, shift)
     LDu = lcm(t0.denominator, shift.denominator) * Du
-    xs, orbit_pole = _orbit((q, 1, p), t0, t1, n + 1)
+    orbit = iterate_orbit(params, t0 / t1, n)
+    xs, orbit_pole = orbit.trajectory, orbit.pole_step
     t_window, u_window = islice(_steps(*t_start), n + 2), _steps(*u_start)
     a, _, c, _ = next(t_window)
     ua, _, sn, _ = next(u_window)

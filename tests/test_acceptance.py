@@ -32,6 +32,7 @@ from aurea.riccati import (
     iterate_orbit,
     substitution_check,
 )
+from test_riccati import paper_minus_closed_form, paper_plus_closed_form
 
 EPS_9 = Fraction(1, 10**9)
 EPS_6 = Fraction(1, 10**6)
@@ -67,10 +68,12 @@ def test_c01_closed_form_oracle_equivalence():
         if not orbit.completed or params.apply(x0) == x0:
             continue  # keep only regular seeds
         assert closed_form_trajectory(params, x0, 300) == list(orbit.trajectory)
+        paper = paper_plus_closed_form if params.branch == "plus" else paper_minus_closed_form
+        assert paper(params.p, params.q, x0, 300) == (list(orbit.trajectory), None)
         n = rng.randint(0, 300)
         assert closed_form_term(params, x0, n) == orbit.trajectory[n]
         cases += 1
-    _report(1, "closed form equals the iterated orbit exactly for 500 cases, n <= 300")
+    _report(1, "closed form equals the iterated orbit and the paper's formula exactly for 500 cases, n <= 300")
 
 
 def test_c02_substitution_derivation():

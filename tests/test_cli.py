@@ -101,7 +101,7 @@ def test_solve_matches_and_forbidden_seed_exits_2(capsys):
     records = run_json(capsys, ["riccati", "solve", "--p", "1", "--q", "1", "--branch", "plus", "--x0", "1", "--n", "4"])
     assert records[0]["result"]["match"] is True
     code, out, err = run_cli(capsys, ["riccati", "solve", "--p", "1", "--q", "1", "--branch", "plus", "--x0=-2", "--n", "5"])
-    assert code == 2 and not out and "forbidden" in err
+    assert code == 2 and not out and "initial value -2 is forbidden at depth 2" in err
 
 
 def test_classify_surd(capsys):

@@ -2,7 +2,8 @@
 
 `_cut` brackets value*2**bits between L = floor(value*2**bits) and L + 1
 once, and places a rational r = n/m by one product against that bracket; only
-an r with r*2**bits in [L, L + 1) goes to `_difference_sign`.  The hardest
+an r with r*2**bits in (L, L + 1) goes to `_difference_sign`, as an
+irrational value lies strictly between the two ends.  The hardest
 inputs are the bracket's own ends L/2**bits and (L + 1)/2**bits, rationals
 just inside and outside them, and convergents of the surd, whose distance
 from it shrinks like 1/q**2.  `_floor`, which gives L, is checked on its own
@@ -111,10 +112,16 @@ def _sign_core_calls(monkeypatch, run) -> int:
 
 
 def test_a_rational_inside_the_bracket_reaches_the_sign_core(monkeypatch):
-    """The counter sees the fallback: 1024*F(8)/F(9) = 1024*21/34 and 1024*(φ - 1) share the floor 632."""
+    """The counter sees the fallback: 1024*F(8)/F(9) = 1024*21/34 and 1024*(φ - 1) share the floor 632.
+
+    The bracket's own ends 632/1024 and 633/1024 are decided by one product each.
+    """
     cut = _cut(GOLDEN_RATIO - 1, 10)
     assert _sign_core_calls(monkeypatch, lambda: cut(Fraction(21, 34))) == 1
     assert _sign_core_calls(monkeypatch, lambda: cut(Fraction(1, 2)) + cut(Fraction(2, 3))) == 0
+    assert _sign_core_calls(monkeypatch, lambda: cut(Fraction(632, 1024))) == 0
+    assert _sign_core_calls(monkeypatch, lambda: cut(Fraction(633, 1024))) == 0
+    assert (cut(Fraction(632, 1024)), cut(Fraction(633, 1024))) == (-1, 1)
 
 
 def test_batch_comparisons_never_reach_the_sign_core(monkeypatch):

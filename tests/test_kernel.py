@@ -910,8 +910,8 @@ def _gcds_run(monkeypatch, run, big=0):
 def test_one_gcd_per_pair_stepped(monkeypatch, n):
     """One small gcd per coprime pair read, the first reducing the start.
 
-    n ratios read n pairs, x0 .. xn read n + 1 and the closed form's x1 .. xn
-    read n; ratio_trace over [0, n] reads n + 1, and its window is memoized
+    n ratios read n pairs, and x0 .. xn read n + 1, the closed form's too, as
+    it reads the orbit; ratio_trace over [0, n] reads n + 1, and its window is memoized
     and filled first, so only the pair steps are counted.  substitution_check
     streams everything it reads from three runs of `_steps`, one gcd per
     yield, the first reducing the start: n + 1 for the orbit's pairs, n + 2
@@ -926,7 +926,7 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     ratio_trace(ODD_SEED, 0, 0, n)
     assert _gcds_run(monkeypatch, stream) == n
     assert _gcds_run(monkeypatch, lambda: iterate_orbit(MINUS_MAP, Fraction(1, 2), n)) == n + 1
-    assert _gcds_run(monkeypatch, lambda: closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n
+    assert _gcds_run(monkeypatch, lambda: closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, 0, n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 4 * n + 8
 
