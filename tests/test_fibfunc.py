@@ -15,7 +15,7 @@ from aurea.fibfunc import (
     ratio_trace,
     verify_convergence,
 )
-from aurea.limits import RatioParams, ratio_orbit
+from aurea.limits import RatioParams, certificate, ratio_orbit
 
 STD = RatioParams(1, 1, "standard")
 ODD = RatioParams(1, 1, "odd")
@@ -169,9 +169,11 @@ def test_verify_odd_converges_to_negated_root():
     assert report.converged
 
 
-def test_verify_flipped_sign_pair_gets_certificate():
-    report = verify_convergence(_seed(STD, [(-1, -2)]), Fraction(1, 10**6))[0]
-    assert report.certificate is not None
+@pytest.mark.parametrize("f0, f1", [(-1, -2), (0, 1), (0, -1)])
+def test_verify_flipped_sign_pair_gets_certificate(f0, f1):
+    eps = Fraction(1, 10**6)
+    report = verify_convergence(_seed(STD, [(f0, f1)]), eps)[0]
+    assert report.certificate == certificate(abs(f0), abs(f1), eps)  # f(xi) = 0 still gets one
     assert report.converged
 
 

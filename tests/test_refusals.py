@@ -22,6 +22,7 @@ from aurea import (
     closed_form_trajectory,
     decimal_str,
     dominant_root,
+    extend,
     fixed_points,
     forbidden_set,
     golden_power_trace,
@@ -48,6 +49,18 @@ CASES = {
     "seed-without-offsets": (
         lambda: PeriodicSeed(1, RatioParams(1, 1), (), ()),
         DomainError("at least one offset is required"),
+    ),
+    "seed-repeated-offset": (
+        lambda: PeriodicSeed(1, RatioParams(1, 1), (0, 0), ((1, 1), (1, 2))),
+        DomainError("offsets must be strictly increasing"),
+    ),
+    "extend-without-f1": (
+        lambda: extend(SEED, 0, 0),
+        ValueError("range must cover the seed pair: n_min <= 0 and n_max >= 1"),
+    ),
+    "extend-without-f0": (
+        lambda: extend(SEED, 1, 3),
+        ValueError("range must cover the seed pair: n_min <= 0 and n_max >= 1"),
     ),
     "verify-epsilon-0": (lambda: verify_convergence(SEED, 0), DomainError("epsilon must be positive")),
     "dominant-root-r-0": (lambda: dominant_root(0, 1), DomainError("r and s must be positive")),
