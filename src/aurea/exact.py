@@ -452,13 +452,9 @@ def quadratic_roots(p: Fraction | int | str, q: Fraction | int | str) -> tuple[Q
     disc = p * p + 4 * q
     if disc <= 0:
         raise DomainError(f"discriminant {disc} is not positive")
-    coeff, d = sqrt_decomposition(disc)
-    half_p = p / 2
-    half_root = coeff / 2
-    return (
-        QuadraticSurd(half_p, half_root, d),
-        QuadraticSurd(half_p, -half_root, d),
-    )
+    half_p, half_root = p / 2, Fraction(1, 2 * disc.denominator)
+    d = disc.numerator * disc.denominator  # sqrt(disc) = sqrt(d)/den; each constructor splits d
+    return QuadraticSurd(half_p, half_root, d), QuadraticSurd(half_p, -half_root, d)
 
 
 def decimal_str(value: QuadraticSurd | Fraction | int, digits: int = 12) -> str:

@@ -128,6 +128,54 @@ MUTANTS = [
         'params.get("offset_index", None)',
         "fibfunc trace echoes the offset index next to the offset it selects",
     ),
+    (
+        "limits.py",
+        "convergent_failures.append(n)",
+        "pass",
+        "nesting_check passes an orbit value that is not F(n)/F(n+1)",
+    ),
+    (
+        "limits.py",
+        "ordering_failures.append(n)",
+        "pass",
+        "nesting_check passes an orbit value on the wrong side of phi - 1",
+    ),
+    (
+        "exact.py",
+        "float(self.a) + float(self.b)",
+        "float(self.a) - float(self.b)",
+        "float() of a surd is the float of its conjugate",
+    ),
+    (
+        "exact.py",
+        "return str(self.a)",
+        "return repr(self.a)",
+        "str() of a rational-valued surd prints Fraction(3, 2) instead of 3/2",
+    ),
+    (
+        "exact.py",
+        "if disc <= 0:",
+        "if disc < 0:",
+        "quadratic_roots passes a zero discriminant on, and the refusal names radicand 0, not the discriminant",
+    ),
+    (
+        "exact.py",
+        "d = disc.numerator * disc.denominator",
+        "d = disc.numerator",
+        "quadratic_roots drops the discriminant's denominator from the radicand, so sqrt(5/4) reads sqrt(5)/4",
+    ),
+    (
+        "fibfunc.py",
+        "if not sep or not value:",
+        "if not sep:",
+        "parse_seed accepts a header token with an empty value, such as 'k='",
+    ),
+    (
+        "cli.py",
+        "if hi < lo:",
+        "if hi < lo - 1:",
+        "horadam --n accepts the empty range lo..lo-1",
+    ),
 ]
 
 

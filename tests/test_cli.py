@@ -234,8 +234,9 @@ def test_digits_out_of_range_exits_3(capsys, digits, top_level):
         ("0", "x", "--n must be an index or an inclusive range like 0..7, got 'x'"),
         ("0", "1..x", "--n must be an index or an inclusive range like 0..7, got '1..x'"),
         ("0", "5..3", "empty index range '5..3'"),
+        ("0", "3..2", "empty index range '3..2'"),
     ],
-    ids=["w0", "n", "n-range", "n-empty-range"],
+    ids=["w0", "n", "n-range", "n-empty-range", "n-range-one-below"],
 )
 def test_bad_rational_exits_3(capsys, w0, n, message):
     code, _, err = run_cli(capsys, ["horadam", "--w0", w0, "--w1", "1", "--p", "1", "--q", "1", "--n", n])

@@ -143,6 +143,8 @@ def test_surd_canonicalisation():
     assert QuadraticSurd(3, 1, 9) == Fraction(6)  # radicand collapses
     assert QuadraticSurd(2, 0, 7) == Fraction(2)
     assert hash(QuadraticSurd(2, 0, 7)) == hash(Fraction(2))
+    assert str(QuadraticSurd(Fraction(3, 2), 0, 7)) == "3/2"  # a rational value prints as its Fraction
+    assert str(QuadraticSurd(1, 1, 4)) == "3"
     with pytest.raises(DomainError):
         QuadraticSurd(1, 1, 0)
 
@@ -152,12 +154,14 @@ def test_golden_identity():
     assert phi * phi == phi + 1
     assert phi * phi == QuadraticSurd(Fraction(3, 2), Fraction(1, 2), 5)
     assert phi * (1 / phi) == 1
+    assert float(phi) == (1 + math.sqrt(5)) / 2
 
 
 def test_silver_identity():
     r = QuadraticSurd(1, 1, 2)
     assert r * r == QuadraticSurd(3, 2, 2)
     assert r * r == 2 * r + 1
+    assert float(QuadraticSurd(1, -1, 2)) == 1 - math.sqrt(2)
 
 
 def test_mixed_radicands():
@@ -242,6 +246,41 @@ def test_root_sum_and_product_randomised():
         assert hi + lo == p
         assert hi * lo == -q
         assert (hi - lo).sign() > 0
+
+
+def test_quadratic_roots_match_the_decomposed_discriminant_formula():
+    """Both roots equal p/2 ± (coeff/2)*sqrt(d), (coeff, d) = sqrt_decomposition(p*p + 4*q), field by field.
+
+    The discriminant is drawn as s*s*m/(t*t*n), so square factors occur in its
+    numerator and its denominator, and it is a rational square when m = n = 1.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    def formula(p, q):
+        coeff, d = sqrt_decomposition(p * p + 4 * q)
+        return QuadraticSurd(p / 2, coeff / 2, d), QuadraticSurd(p / 2, -coeff / 2, d)
+
+    pairs = st.builds(
+        lambda p, s, m, t, n: (p, (Fraction(s * s * m, t * t * n) - p * p) / 4),
+        st.fractions(min_value=-40, max_value=40, max_denominator=40),
+        st.integers(1, 40),
+        st.integers(1, 300),
+        st.integers(1, 40),
+        st.integers(1, 300),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs)
+    @example((Fraction(3), Fraction(10)))  # disc 49
+    @example((Fraction(1, 3), Fraction(2, 9)))  # disc 1
+    @example((Fraction(0), Fraction(9, 16)))  # disc 9/4
+    @example((Fraction(0), Fraction(45, 32)))  # disc 45/8 = (3/2)**2 * 5/2
+    @example((Fraction(1), Fraction(1)))
+    def check(pair):
+        assert quadratic_roots(*pair) == formula(*pair)
+
+    check()
 
 
 def test_sign_examples():

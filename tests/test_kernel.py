@@ -26,7 +26,8 @@ coming back; a count of horadam's own gcd calls holds every pair step to one.
 same kernel; they are checked against repeated multiplication, and a count
 of `QuadraticSurd` constructions keeps the orderings, `abs_lt`/`abs_le` and
 powers from building intermediate surds, and a count of radicand splits
-holds each arithmetic operator to the one surd it returns.
+holds each arithmetic operator to the one surd it returns, and
+`quadratic_roots` to its two roots.
 """
 
 from fractions import Fraction
@@ -38,7 +39,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from aurea.exact import GOLDEN_RATIO, QuadraticSurd, abs_le, abs_lt  # noqa: E402
+from aurea.exact import GOLDEN_RATIO, QuadraticSurd, abs_le, abs_lt, quadratic_roots  # noqa: E402
 from aurea import exact, fibfunc, horadam, riccati  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, ratio_trace, verify_convergence  # noqa: E402
 from aurea.horadam import (  # noqa: E402
@@ -729,9 +730,8 @@ ONE_SURD_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ONE_SURD_RUNS))
-def test_each_surd_operator_splits_one_radicand(monkeypatch, name):
-    """An operator reads an int, Fraction or surd operand as its parts and builds only its result."""
+def _radicands_split(monkeypatch, run) -> list[int]:
+    """The radicands `exact._square_split` is called on while run() runs, in order."""
     split, calls = exact._square_split, []
 
     def counting(n):
@@ -739,8 +739,20 @@ def test_each_surd_operator_splits_one_radicand(monkeypatch, name):
         return split(n)
 
     monkeypatch.setattr(exact, "_square_split", counting)
-    ONE_SURD_RUNS[name]()
-    assert len(calls) == 1
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SURD_RUNS))
+def test_each_surd_operator_splits_one_radicand(monkeypatch, name):
+    """An operator reads an int, Fraction or surd operand as its parts and builds only its result."""
+    assert len(_radicands_split(monkeypatch, ONE_SURD_RUNS[name])) == 1
+
+
+def test_quadratic_roots_splits_the_discriminant_once_per_root(monkeypatch):
+    """The discriminant 68719476767, a 36-bit prime, is split by each root's constructor and nowhere else."""
+    disc = 68719476767
+    assert _radicands_split(monkeypatch, lambda: quadratic_roots(1, Fraction(disc - 1, 4))) == [disc, disc]
 
 
 PSI = QuadraticSurd(Fraction(2, 3), Fraction(-1, 7), 5)

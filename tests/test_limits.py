@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aurea import limits
 from aurea.exact import GOLDEN_RATIO, DomainError, QuadraticSurd, abs_le, abs_lt, quadratic_roots
 from aurea.limits import (
     RatioParams,
@@ -236,6 +237,47 @@ def test_nesting_check():
     phi_minus_1 = GOLDEN_RATIO - 1
     assert (Fraction(1) - phi_minus_1).sign() > 0
     assert (Fraction(1, 2) - phi_minus_1).sign() < 0
+
+
+def _plant_ratio(monkeypatch, planted):
+    """nesting_check's orbit, with g(planted) made g(planted) + 1."""
+    real = limits.ratio_orbit
+
+    def planted_orbit(*args):
+        report = real(*args)
+        trajectory = list(report.trajectory)
+        trajectory[planted] += 1
+        return type(report)(tuple(trajectory), report.pole_step, report.classification)
+
+    monkeypatch.setattr(limits, "ratio_orbit", planted_orbit)
+
+
+def _plant_fibonacci(monkeypatch, planted):
+    """nesting_check's Fibonacci window, with F(planted) made F(planted) + 1."""
+    real = limits.terms
+
+    def planted_terms(*args):
+        values = real(*args)
+        values[planted] += 1
+        return values
+
+    monkeypatch.setattr(limits, "terms", planted_terms)
+
+
+@pytest.mark.parametrize(
+    "plant, planted, convergent_failures, ordering_failures",
+    [
+        (_plant_ratio, 6, (6,), (6,)),  # 8/13 + 1 is above phi - 1, where an even n must be below
+        (_plant_ratio, 7, (7,), ()),  # 13/21 + 1 stays above phi - 1
+        (_plant_fibonacci, 9, (8, 9), ()),  # F(9) is read by g(8) = F(8)/F(9) and g(9) = F(9)/F(10)
+    ],
+    ids=["g6", "g7", "F9"],
+)
+def test_nesting_check_fails_exactly_at_a_planted_value(monkeypatch, plant, planted, convergent_failures, ordering_failures):
+    plant(monkeypatch, planted)
+    report = nesting_check(20)
+    assert (report.convergent_failures, report.ordering_failures) == (convergent_failures, ordering_failures)
+    assert not report.passed
 
 
 def test_case1_negative_seed_consistency():

@@ -32,6 +32,7 @@ from aurea import (
     negative_symmetry_check,
     nesting_check,
     parse_seed,
+    quadratic_roots,
     ratio_trace,
     sqrt_decomposition,
     substitution_check,
@@ -64,6 +65,7 @@ CASES = {
     ),
     "verify-epsilon-0": (lambda: verify_convergence(SEED, 0), DomainError("epsilon must be positive")),
     "dominant-root-r-0": (lambda: dominant_root(0, 1), DomainError("r and s must be positive")),
+    "roots-discriminant-0": (lambda: quadratic_roots(2, -1), DomainError("discriminant 0 is not positive")),
     "decimal-negative-digits": (lambda: decimal_str(GOLDEN_RATIO, -1), ValueError("digits must be nonnegative")),
     "ratio-trace-empty": (lambda: ratio_trace(SEED, 0, 5, 3), ValueError("empty range")),
     "verify-negative-horizon": (
@@ -74,6 +76,10 @@ CASES = {
     "seed-header-token-without-equals": (
         lambda: parse_seed("k=1 kind=standard r=1 s\n0 0 1"),
         ValueError("malformed header token 's'"),
+    ),
+    "seed-header-token-without-value": (
+        lambda: parse_seed("k= kind=standard r=1 s=1\n0 1 1\n"),
+        ValueError("malformed header token 'k='"),
     ),
     "seed-header-alone": (
         lambda: parse_seed("k=1 kind=standard r=1 s=1"),
