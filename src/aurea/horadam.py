@@ -27,8 +27,9 @@ is an integer recurrence, so each returned term costs one reduction at the
 end instead of a gcd-reduced Fraction at every step.  `terms` reaches its
 start by powering the companion matrix (0, 1, Q, P) = [[0, 1], [Q, P]] of
 the cleared recurrence, P = A*D and Q = B*D**2, which maps (w(k), w(k+1)) to
-(w(k+1), w(k+2)): `_start` squares that one matrix O(log|lo|) times and
-applies each power whose bit is set in |lo| to the pair (w(0), w(1)).
+(w(k+1), w(k+2)): `_start` squares that one matrix once per bit below the
+top bit of |lo| and applies each power whose bit is set in |lo| to the pair
+(w(0), w(1)).
 `terms` steps one term at a time only through the window; `ratios` steps
 the cleared coefficients from index 0 without end.  A negative start is
 reached by powering the companion's adjugate (P, -1, -Q, 0), -Q times its
@@ -120,10 +121,11 @@ def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
     (w(0), w(1)) by powering that step's matrix C = (0, 1, Q, P), or, for
     lo < 0, its adjugate (P, -1, -Q, 0), which is -Q times the inverse of C;
     then c is E*(-Q/D)**(-lo), an int that may be negative.  That one matrix
-    M is squared O(log|lo|) times, and M**(2**i) is applied to the pair for
-    each bit i set in |lo|, low bit first: powers of one matrix commute, so
-    the ints are those of M**|lo| applied once.  A term's denominator
-    divides a power of E*Q at either sign.
+    M is squared once per bit below the top bit of |lo|, |lo|.bit_length() - 1
+    times, and M**(2**i) is applied to the pair for each bit i set in |lo|,
+    low bit first: powers of one matrix commute, so the ints are those of
+    M**|lo| applied once.  A term's denominator divides a power of E*Q at
+    either sign.
     """
     D = lcm(A.denominator, B.denominator)
     E = lcm(a.denominator, b.denominator)
@@ -134,10 +136,11 @@ def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
     while k:
         if k & 1:
             x, y = m00 * x + m01 * y, m10 * x + m11 * y
-        m00, m01, m10, m11 = (
-            m00 * m00 + m01 * m10, m00 * m01 + m01 * m11, m10 * m00 + m11 * m10, m10 * m01 + m11 * m11
-        )
         k >>= 1
+        if k:
+            m00, m01, m10, m11 = (
+                m00 * m00 + m01 * m10, m00 * m01 + m01 * m11, m10 * m00 + m11 * m10, m10 * m01 + m11 * m11
+            )
     c = E * D**lo if lo >= 0 else E * (-Q // D) ** -lo
     return (1, Q, P, x, y, c, D), E * Q
 
@@ -220,7 +223,7 @@ def horadam_term(params: RecurrenceParams, n: int) -> Fraction:
     return terms(*params.plus_form(), params.w0, params.w1, n, n)[0]
 
 
-fast_term = horadam_term  # the older name; horadam_term already reaches n in O(log|n|) squarings
+fast_term = horadam_term  # the older name; horadam_term already reaches n in |n|.bit_length() - 1 squarings
 
 
 def window(params: RecurrenceParams, start: int, length: int) -> SequenceWindow:

@@ -20,7 +20,9 @@ that map's matrix [[0, alpha], [beta, gamma]].  A term planted into a window
 steps that read it, and a value planted into the map's orbit it reads fails
 x(k) = t(k)/t(k+1) at that k alone.  A count of
 `Fraction.__new__` calls that must not grow with n keeps a per-step gcd from
-coming back; a count of horadam's own gcd calls holds every pair step to one.
+coming back; a count of horadam's own gcd calls holds every pair step to one,
+and `_start`'s tracemalloc peak keeps its power loop from squaring past the
+top bit of the index.
 
 `QuadraticSurd.__pow__` and `golden_power_trace` read their powers off the
 same kernel; they are checked against repeated multiplication, and a count
@@ -30,6 +32,8 @@ holds each arithmetic operator to the one surd it returns, and
 `quadratic_roots` to its two roots.
 """
 
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -570,6 +574,27 @@ def test_the_ints_at_an_index_do_not_depend_on_the_start(A, B, a, b, lo, offset)
     k = lo + offset
     (x, y, c, _), = islice(horadam._steps(*horadam._start(A, B, a, b, lo)[0]), offset, offset + 1)
     assert next(horadam._steps(*horadam._start(A, B, a, b, k)[0]))[:3] in ((x, y, c), (-x, -y, -c))
+
+
+@pytest.mark.parametrize("lo", [2**17, 2**17 + 1, -(2**17), 3 * 2**16, 10**5])
+def test_the_power_loop_stops_squaring_at_the_top_bit(lo):
+    """_start's peak memory stays within 6.5 times the pair it returns, so no square past |lo|'s top bit is taken.
+
+    That square is never applied, so it changes no value, only the cost: it
+    builds M**(2**t), t = |lo|.bit_length(), whose four entries are up to
+    twice the pair's size, next to M**(2**(t-1)), and took the peak to 7.5
+    to 11 times the pair at these indices, against about 5 without it.  An
+    index all of whose bits are set, such as 2**17 - 1, is left out: there
+    the last applied power is about as large as that square, and the peak is
+    6 times the pair either way.
+    """
+    tracemalloc.start()
+    try:
+        (_, _, _, x, y, _, _), _ = horadam._start(1, 1, 0, 1, lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * (sys.getsizeof(x) + sys.getsizeof(y))
 
 
 @pytest.mark.parametrize(

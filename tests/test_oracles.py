@@ -26,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from aurea.exact import DomainError, QuadraticSurd, decimal_str  # noqa: E402
-from aurea.horadam import RecurrenceParams, lucas_window, window  # noqa: E402
+from aurea.horadam import FIBONACCI, RecurrenceParams, horadam_term, lucas_window, terms, window  # noqa: E402
 from aurea.riccati import (  # noqa: E402
     MINUS,
     PLUS,
@@ -137,6 +137,33 @@ def test_window_matches_the_oracle_recurrence(w0, w1, p, q, start, length):
     values = window(RecurrenceParams(w0, w1, p, q), start, length).values
     assert len(values) == length
     assert all(matches(value, oracles.horadam(w0, w1, p, q, start + i)) for i, value in enumerate(values))
+
+
+whole = st.integers(-9, 9).map(Fraction)
+RATIONAL_CASE = RecurrenceParams(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4), Fraction(-3, 2))
+
+
+def _at_far_binary_edges(test):
+    """Examples at n = 0 and n = ±2**k, ±(2**k ± 1), where the bits of |n| that the power loop reads turn over."""
+    edges = [0] + [sign * (2**k + d) for k in (1, 6, 12) for d in (-1, 0, 1) for sign in (1, -1)]
+    for n in edges:
+        test = example(params=FIBONACCI, n=n)(test)
+        test = example(params=RATIONAL_CASE, n=n)(test)
+    return test
+
+
+@PROPERTY
+@given(
+    params=st.builds(RecurrenceParams, seeds, seeds, whole | coefficients, whole.filter(bool) | nonzero),
+    n=st.integers(-5000, 5000),
+)
+@_at_far_binary_edges
+def test_far_terms_match_the_oracle_recurrence(params, n):
+    """horadam_term and the pair terms reads at n, far past the windows above, against the oracle's Lucas doubling."""
+    w0, w1, p, q = params.w0, params.w1, params.p, params.q
+    assert matches(horadam_term(params, n), oracles.horadam(w0, w1, p, q, n))
+    pair = terms(p, -q, w0, w1, n, n + 1)
+    assert all(matches(value, oracles.horadam(w0, w1, p, q, k)) for value, k in zip(pair, (n, n + 1), strict=True))
 
 
 @PROPERTY
