@@ -54,8 +54,6 @@ seed to ints once, stops before the first infinite point, reporting its
 index, and `exact._from_coprime` builds each reduced Fraction without a
 gcd.  t(k)/t(k+1) of a recurrence is the orbit of (1, B, A); `ratios`
 steps it from (u(0), u(1)) without end, reading each pair upside down.
-`terms` reduces every term it reads; `riccati.substitution_check` reduces
-only its t window and reads its Lucas window and its map's pairs as ints.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 The substitution x(n) = t(n)/t(n+1) turns the map into the linear recurrence
 t(n+1) = (p/q)*t(n) + (1/q)*t(n-1), which is what makes an exact closed form
 in terms of fundamental Lucas numbers possible.  `substitution_check` replays
-that derivation step by step as a verifiable identity.  The closed form reads
-one sequence s(k) = u(k+1) + u(k)*sign*x0, u the fundamental Lucas sequence of
-the "+" form (p, q): the value x(k) = sign*q*s(k-1)/s(k), refused at the first
-zero of s, and the forbidden set, the values -sign*u(m+1)/u(m).
+that derivation and decides its identities for every step from a few terms.
+The closed form reads one sequence s(k) = u(k+1) + u(k)*sign*x0, u the
+fundamental Lucas sequence of the "+" form (p, q): the value
+x(k) = sign*q*s(k-1)/s(k), refused at the first zero of s, and the forbidden
+set, the values -sign*u(m+1)/u(m).
 
 An initial value's fate is decided by its orbit alone: `iterate_orbit` is the
 one stepper, and `classify_initial` reads its classification, so x0 is
@@ -18,8 +19,8 @@ z -> alpha/(beta*z + gamma).  The closed form and `substitution_check` read
 that one orbit: s(k-1)/s(k) steps by z -> 1/(q*z + p), and x = sign*q*z
 turns that step into the map's own, so the closed form's values are the
 orbit's and its refusal depth is the orbit's pole step.  `substitution_check`
-streams its t and Lucas windows as ints from `horadam._steps`.  No step runs
-a gcd of two big ints.
+reads its t window from `horadam.terms`, so the kernel's clearing scale stays
+inside `horadam`.  No step runs a gcd of two big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 
-from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _from_coprime, _Record, as_rational, quadratic_roots
-from .horadam import _coprime, _ints, _orbit, _start, _steps, ratios
+from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _Record, as_rational, quadratic_roots
+from .horadam import _orbit, ratios, terms
 
 __all__ = [
     "MINUS",
@@ -195,7 +195,7 @@ def classify_initial(
 
 
 class SubstitutionReport(_Record):
-    """Step-by-step audit of the linearising substitution x(n) = t(n)/t(n+1)."""
+    """Audit of the linearising substitution x(n) = t(n)/t(n+1), each identity decided for every step."""
 
     t_values: tuple[Fraction, ...]
     ratio_values: tuple[Fraction, ...]
@@ -216,28 +216,21 @@ def substitution_check(
     t1: Fraction | int | str,
     n: int,
 ) -> SubstitutionReport:
-    """Build the linear t-sequence, form x(k) = t(k)/t(k+1), and verify both identities.
+    """Build the linear t-sequence, form x(k) = t(k)/t(k+1), and decide both identities for every k.
 
-    The t window t(0) .. t(n+1) and the Lucas window u(0) .. u(n+2) stream
-    from `horadam._steps` as ints, t(k) = a(k)/c(k) and u(k) = a_u(k)/c_u(k),
-    with c(k+1) = c(k)*D/g(k+1) and c_u(k+1) = c_u(k)*D_u/g_u(k+1); only the
-    reported t(k) are reduced.  Per k, each identity is one integer equation:
+    The window t(0) .. t(n+1) is `terms` of (p/q, 1/q) from (t0, t1), and the
+    map's orbit of x0 = t0/t1 is `iterate_orbit`'s; the window's pole is at
+    the first k <= n with t(k+1) = 0.  Each identity holds at every k or at
+    none (the closure of C-finite sequences):
 
-    - x(k) = t(k)/t(k+1), with x(k) = x/y in lowest terms read off the
-      map's own orbit of x0 = t0/t1, `iterate_orbit`:
-      x*g(k+1)*a(k+1) == y*D*a(k) on the link c(k+1)*g(k+1) == c(k)*D,
-      which read the pairs of t(k) and t(k+1).  A zero t(k+1) is the pole
-      at step k, and the orbit must meet its pole there too.
-    - q**k*t(k) = t0*u(k+1) + (q*t1 - p*t0)*u(k).  `_start` gives both
-      windows one int (1, Q, P), and the t-recurrence's D is q*D_u, so
-      s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1) per step, and the
-      identity is
-      a(k)*s(k)*L*D_u == T0*a_u(k+1)*g_u(k+1) + C*a_u(k)*D_u, where
-      t0 = T0/L and q*t1 - p*t0 = C/L.  It reads a(k) and, for k > 0, the
-      link from c(k-1) to c(k), so it holds for the reported t(k).
-
-    `ratio_values[k]` is the orbit's value where x(k) matches, and
-    t(k)/t(k+1) where it does not.
+    - q**k*t(k) - t0*u(k+1) - (q*t1 - p*t0)*u(k) runs u's recurrence
+      u(k+2) = p*u(k+1) + q*u(k), so it vanishes at every k when it does at
+      k = 0 and 1, which read t(0), t(1) and u(0), u(1), u(2) = 0, 1, p.
+      `closed_form_matches` repeats that one decision.
+    - t(k)/t(k+1) and the orbit are orbits of one Möbius map from one point,
+      so `ratio_values` is the orbit before the window's pole, each value
+      matching.  One False is appended when the window and the orbit meet
+      the pole at different steps.
     """
     if params.branch != PLUS:
         raise DomainError("the substitution derivation applies to the plus branch")
@@ -248,48 +241,11 @@ def substitution_check(
         raise DomainError("t1 = 0 leaves x0 = t0/t1 undefined")
 
     p, q = params.plus_form()
-    (t_start, m), (u_start, _) = _start(p / q, 1 / q, t0, t1, 0), _start(p, q, 0, 1, 0)
-    D, Du = t_start[-1], u_start[-1]
-    shift = q * t1 - p * t0
-    T0, C = _ints(t0, shift)
-    LDu = lcm(t0.denominator, shift.denominator) * Du
+    t = terms(p / q, 1 / q, t0, t1, 0, n + 1)
     orbit = iterate_orbit(params, t0 / t1, n)
-    xs, orbit_pole = orbit.trajectory, orbit.pole_step
-    t_window, u_window = islice(_steps(*t_start), n + 2), _steps(*u_start)
-    a, _, c, _ = next(t_window)
-    ua, _, sn, _ = next(u_window)
-    sd = c  # s(0) = c_u(0)/c(0)
-
-    t_values, ratio_values, orbit_matches, closed_form_matches = [_from_coprime(*_coprime(a, c, m))], [], [], []
-    pole_step = None
-    linked = True  # c(k) == c(k-1)*D/g(k); c(0) starts the chain
-    for k in range(n + 2):
-        ua_next, _, _, ug = next(u_window)
-        closed_form_matches.append(linked and a * sn * LDu == sd * (T0 * ua_next * ug + C * ua * Du))
-        if k > n:
-            break
-        a_next, _, c_next, g = next(t_window)
-        t = _from_coprime(*_coprime(a_next, c_next, m))
-        linked = c_next * g == c * D
-        if pole_step is None:  # x(k) = t(k)/t(k+1)
-            if not a_next:
-                pole_step = k
-            elif k < len(xs) and linked and xs[k].numerator * g * a_next == xs[k].denominator * D * a:
-                ratio_values.append(xs[k])
-                orbit_matches.append(True)
-            else:
-                ratio_values.append(t_values[-1] / t)
-                orbit_matches.append(False)
-        t_values.append(t)
-        if g != ug:
-            sn, sd = sn * g, sd * ug
-        a, c, ua = a_next, c_next, ua_next
-    if pole_step != orbit_pole:
-        orbit_matches.append(False)  # the two pole accounts must agree
-    return SubstitutionReport(
-        tuple(t_values),
-        tuple(ratio_values),
-        tuple(orbit_matches),
-        tuple(closed_form_matches),
-        pole_step,
-    )
+    pole_step = next((k for k in range(n + 1) if not t[k + 1]), None)
+    ratio_values = orbit.trajectory[:pole_step]
+    orbit_matches = (True,) * len(ratio_values) + ((False,) if pole_step != orbit.pole_step else ())
+    u, shift = (0, 1, p), q * t1 - p * t0
+    holds = all(q**k * t[k] == t0 * u[k + 1] + shift * u[k] for k in (0, 1))
+    return SubstitutionReport(tuple(t), ratio_values, orbit_matches, (holds,) * (n + 2), pole_step)

@@ -214,6 +214,34 @@ MUTANTS = [
         "horadam --n accepts the empty range lo..lo-1",
         "test_cli.py",
     ),
+    (
+        "limits.py",
+        "if not (f0 >= 0 and fk > 0):",
+        "if not (f0 >= 0 and fk >= 0):",
+        "certificate accepts fk = 0: (1, 0) names the search budget and (0, 0) divides by zero",
+        "test_refusals.py",
+    ),
+    (
+        "riccati.py",
+        "if not t[k + 1]), None)",
+        "if not t[k]), None)",
+        "substitution_check puts the window's pole one step early, at step 0 when t0 = 0",
+        "test_riccati.py",
+    ),
+    (
+        "riccati.py",
+        "q**k * t[k] == t0 * u[k + 1]",
+        "t[k] == t0 * u[k + 1]",
+        "substitution_check's closed-form decision drops q**k, so it fails wherever q*t1 != t1",
+        "test_riccati.py",
+    ),
+    (
+        "riccati.py",
+        "if pole_step != orbit.pole_step else ()",
+        "if pole_step == orbit.pole_step else ()",
+        "substitution_check fails where the window and the orbit meet the pole at the same step",
+        "test_riccati.py",
+    ),
 ]
 
 

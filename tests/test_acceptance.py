@@ -99,7 +99,7 @@ def test_c02_substitution_derivation():
     for n in range(102):
         if n <= 100:
             assert report.t_values[n] == params.q ** (1 - n) * u[n]
-    _report(2, "substitution check passes per step for 100 cases, incl. t(n) = q**(1-n)*u(n)")
+    _report(2, "substitution check holds for every step in 100 cases, incl. t(n) = q**(1-n)*u(n)")
 
 
 def test_c03_forbidden_set_structure():

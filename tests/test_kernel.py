@@ -15,10 +15,10 @@ checked the same way, and `horadam._orbit`, which all of them but `ratios`
 and `forbidden_set` read, against a Fraction stepper of the one map it
 steps, z -> alpha/(beta*z + gamma).  `horadam._steps`, the one int stepper
 under all of them and under the windows, is checked against plain powers of
-that map's matrix [[0, alpha], [beta, gamma]].  A term planted into a window
-`substitution_check` streams from it fails each identity at exactly the
-steps that read it, and a value planted into the map's orbit it reads fails
-x(k) = t(k)/t(k+1) at that k alone.  A count of
+that map's matrix [[0, alpha], [beta, gamma]].  `substitution_check`, which
+decides its identities from the first terms of its window, is checked
+against a per-step Fraction formulation, and a wrong t(0) or t(1) planted
+into its window fails the closed form at every k.  A count of
 `Fraction.__new__` calls that must not grow with n keeps a per-step gcd from
 coming back; a count of horadam's own gcd calls holds every pair step to one,
 and `_start`'s tracemalloc peak keeps its power loop from squaring past the
@@ -384,6 +384,7 @@ def _report_fields(report):
 @example(p=Fraction(1), q=Fraction(1), t0=Fraction(-2), t1=Fraction(1), n=6)  # t(3) = 0: the pole at step 2
 @example(p=Fraction(4, 27), q=Fraction(8, 9), t0=Fraction(-4, 27), t1=Fraction(1), n=20)  # t(2) = 0
 @example(p=Fraction(7, 3), q=Fraction(5, 2), t0=Fraction(0), t1=Fraction(3, 4), n=40)  # x(0) = 0
+@example(p=Fraction(7, 3), q=Fraction(5, 2), t0=Fraction(1, 3), t1=Fraction(2, 5), n=200)  # the decision against the probe to 200
 def test_substitution_check_matches_the_fraction_formulation(p, q, t0, t1, n):
     params = RiccatiParams(p, q, PLUS)
     report = substitution_check(params, t0, t1, n)
@@ -398,12 +399,12 @@ def test_substitution_check_matches_the_fraction_formulation(p, q, t0, t1, n):
 def test_substitution_windows_share_one_companion_and_scale_by_q(p, q, t0, t1):
     """The t window of (p/q, 1/q) and the Lucas window of (p, q) step one int (1, Q, P), and D_t = q*D_u.
 
-    `substitution_check`'s scale s(k) = q**k*c_u(k)/c(k) moves by g(k+1)/g_u(k+1)
-    per step only because of this: `_start` takes D = lcm(den A, den B), and
-    for each prime the valuation of lcm(den p/q, den 1/q) is that of q plus
-    that of lcm(den p, den q).  A clearing by the least D with A*D and B*D**2
-    integral breaks it: at p = 2, q = 4 the t window's least D is 2, against
-    q*D_u = 4.
+    This pins `_start`'s clearing scale D = lcm(den A, den B): for each prime
+    the valuation of lcm(den p/q, den 1/q) is that of q plus that of
+    lcm(den p, den q).  Nothing outside `horadam` relies on it, as
+    `substitution_check` reads its window through `terms`.  A clearing by the
+    least D with A*D and B*D**2 integral breaks it: at p = 2, q = 4 the t
+    window's least D is 2, against q*D_u = 4.
     """
     t_start, u_start = horadam._start(p / q, 1 / q, t0, t1, 0)[0], horadam._start(p, q, 0, 1, 0)[0]
     assert t_start[:3] == u_start[:3]
@@ -411,128 +412,47 @@ def test_substitution_windows_share_one_companion_and_scale_by_q(p, q, t0, t1):
 
 
 SUBST_MAP, SUBST_SEED = RiccatiParams(Fraction(7, 3), Fraction(5, 2), PLUS), (Fraction(1, 3), Fraction(2, 5))
-T_START = horadam._start(SUBST_MAP.p / SUBST_MAP.q, 1 / SUBST_MAP.q, *SUBST_SEED, 0)[0]  # the t window's
-U_START = horadam._start(SUBST_MAP.p, SUBST_MAP.q, 0, 1, 0)[0]  # the Lucas u window's
 
 
-def _plant(monkeypatch, start, planted, wrong=lambda a, c: (a + c, c)):
-    """substitution_check's stepper, with term `planted` of the window it steps from `start` made wrong.
+def _plant(monkeypatch, planted, wrong=lambda t: t + 1):
+    """substitution_check's `terms`, with t(planted) of the window it reads made wrong, by default t + 1."""
+    real = riccati.terms
 
-    The window yields (a, b, c, g) with the term a/c, by default made a/c + 1.
-    The map's own pairs and the other window are left as they are.
-    """
-    real = horadam._steps
+    def planted_terms(*args):
+        values = real(*args)
+        values[planted] = wrong(values[planted])
+        return values
 
-    def wrong_term(a, b, c, g):
-        a, c = wrong(a, c)
-        return a, b, c, g
-
-    def planted_steps(*args):
-        steps = real(*args)
-        if args != start:
-            return steps
-        return (wrong_term(*step) if k == planted else step for k, step in enumerate(steps))
-
-    monkeypatch.setattr(riccati, "_steps", planted_steps)
+    monkeypatch.setattr(riccati, "terms", planted_terms)
 
 
-@pytest.mark.parametrize("planted", [0, 1, 7, 31])
+@pytest.mark.parametrize("planted", [0, 1])
 def test_substitution_check_fails_exactly_at_a_planted_t_value(monkeypatch, planted):
-    """One wrong t(k) from the window is caught by the closed-form check at k, and nowhere else."""
+    """A wrong t(0) or t(1), the terms the closed-form decision reads, fails it at every k.
+
+    The orbit identity reads the map's own orbit, so it still holds.
+    """
     n = 30
     true = terms(SUBST_MAP.p / SUBST_MAP.q, 1 / SUBST_MAP.q, *SUBST_SEED, 0, n + 1)
-    _plant(monkeypatch, T_START, planted)
+    _plant(monkeypatch, planted)
     report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
     assert report.t_values[planted] == true[planted] + 1
-    assert report.closed_form_matches == tuple(k != planted for k in range(n + 2))
-    assert not report.passed
-
-
-def test_substitution_check_orbit_test_reads_the_reported_t_window(monkeypatch):
-    """A wrong t(5) fails x(4) = t(4)/t(5) and x(5) = t(5)/t(6), and the closed form at 5 only.
-
-    The ratio reported at a failed step is the window's own t(k)/t(k+1).
-    """
-    n = 20
-    _plant(monkeypatch, T_START, 5)
-    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
-    t = report.t_values
-    assert report.orbit_matches == tuple(k not in (4, 5) for k in range(n + 1))
-    assert report.closed_form_matches == tuple(k != 5 for k in range(n + 2))
-    assert report.ratio_values[4:6] == (t[4] / t[5], t[5] / t[6])
-    assert report.pole_step is None and not report.passed
+    assert report.closed_form_matches == (False,) * (n + 2)
+    assert all(report.orbit_matches) and not report.passed
 
 
 def test_substitution_check_fails_where_the_pole_accounts_differ(monkeypatch):
     """A t(6) planted as 0 puts the window's pole at step 5, where the map's orbit has none.
 
     The steps before it match, the disagreeing pole accounts append one
-    False, and the closed form fails at 6 alone.
+    False, and the closed form, decided from t(0) and t(1), holds.
     """
     n = 20
-    _plant(monkeypatch, T_START, 6, lambda a, c: (0, c))
+    _plant(monkeypatch, 6, lambda t: Fraction(0))
     report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
     assert report.pole_step == 5
     assert report.orbit_matches == (True,) * 5 + (False,)
-    assert report.closed_form_matches == tuple(k != 6 for k in range(n + 2))
-    assert not report.passed
-
-
-@pytest.mark.parametrize("planted", [0, 7, 20])
-def test_substitution_check_fails_exactly_at_a_planted_map_value(monkeypatch, planted):
-    """A wrong x(k) in the map's own orbit fails x(k) = t(k)/t(k+1) at k alone.
-
-    The ratio reported there is the window's own t(k)/t(k+1), and the
-    windows and the closed form are read as before.
-    """
-    n = 20
-    honest = substitution_check(SUBST_MAP, *SUBST_SEED, n)
-    real = riccati._orbit
-
-    def planted_orbit(*args):
-        xs, stop = real(*args)
-        xs[planted] += 1
-        return xs, stop
-
-    monkeypatch.setattr(riccati, "_orbit", planted_orbit)
-    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
-    t = report.t_values
-    assert report.orbit_matches == tuple(k != planted for k in range(n + 1))
-    assert report.ratio_values[planted] == t[planted] / t[planted + 1]
-    assert (report.t_values, report.ratio_values) == (honest.t_values, honest.ratio_values)
-    assert (report.closed_form_matches, report.pole_step) == (honest.closed_form_matches, honest.pole_step)
-    assert not report.passed
-
-
-@pytest.mark.parametrize("params, t0, t1, n, planted", [
-    (SUBST_MAP, *SUBST_SEED, 20, 5),
-    (RiccatiParams(Fraction(4, 27), Fraction(8, 9), PLUS), Fraction(-4, 27), Fraction(1), 20, 8),  # past the pole at step 1
-])
-def test_substitution_check_reads_the_reported_scale(monkeypatch, params, t0, t1, n, planted):
-    """t(k) divided by 3 through its denominator alone fails every check that reads the link c(k+1)*g(k+1) == c(k)*D.
-
-    Those are x(k-1) and x(k) before the pole, and the closed form at k
-    and k + 1.  3 divides E*D, so the planted t(k) is still reduced.
-    """
-    honest = substitution_check(params, t0, t1, n)
-    _plant(monkeypatch, horadam._start(params.p / params.q, 1 / params.q, t0, t1, 0)[0], planted, lambda a, c: (a, 3 * c))
-    report = substitution_check(params, t0, t1, n)
-    assert report.t_values[planted] == honest.t_values[planted] / 3
-    read = (planted - 1, planted) if honest.pole_step is None else ()
-    assert report.orbit_matches == tuple(ok and k not in read for k, ok in enumerate(honest.orbit_matches))
-    assert report.closed_form_matches == tuple(k not in (planted, planted + 1) for k in range(n + 2))
-    assert not report.passed
-
-
-@pytest.mark.parametrize("planted", [0, 1, 7, 22])
-def test_substitution_check_fails_exactly_at_a_planted_u_value(monkeypatch, planted):
-    """A wrong u(j) fails the closed form at k = j - 1 and k = j, the two identities that read it, and nothing else."""
-    n = 20
-    honest = substitution_check(SUBST_MAP, *SUBST_SEED, n)
-    _plant(monkeypatch, U_START, planted)
-    report = substitution_check(SUBST_MAP, *SUBST_SEED, n)
-    assert report.closed_form_matches == tuple(k not in (planted - 1, planted) for k in range(n + 2))
-    assert (report.t_values, report.ratio_values, report.orbit_matches) == (honest.t_values, honest.ratio_values, honest.orbit_matches)
+    assert report.closed_form_matches == (True,) * (n + 2)
     assert not report.passed
 
 
@@ -892,8 +812,8 @@ PER_STEP_RUNS = {
     "substitution_check": lambda n: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n).passed,
 }
 # the window ratio_trace reads: it reduces its terms with small gcds of its own, counted
-# per term by the window guards below; substitution_check streams its windows, so its
-# window steps are counted with its pairs
+# per term by the window guards below; substitution_check's `terms` window is not
+# memoized, so its steps and reductions are counted with its pairs
 WINDOWS = [(fibfunc, "terms")]
 
 
@@ -950,10 +870,9 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     n ratios read n pairs, and x0 .. xn read n + 1, the closed form's too, as
     it reads the orbit; ratio_trace over [0, n] reads n + 1, and its window is memoized
     and filled first, so only the pair steps are counted.  substitution_check
-    streams everything it reads from three runs of `_steps`, one gcd per
-    yield, the first reducing the start: n + 1 for the orbit's pairs, n + 2
-    for the t window's and n + 3 for the u window's vectors, and n + 2 more
-    for reducing the reported t(k), one each here, 4*n + 8 in all.
+    reads the orbit's n + 1 pairs and the `terms` window t(0) .. t(n+1): one
+    gcd per vector stepped, the first reducing the start, and one more per
+    reported t(k), reducing it, one each here, 3*n + 5 in all.
     """
 
     def stream():
@@ -965,7 +884,7 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     assert _gcds_run(monkeypatch, lambda: iterate_orbit(MINUS_MAP, Fraction(1, 2), n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: closed_form_trajectory(MINUS_MAP, Fraction(1, 2), n)) == n + 1
     assert _gcds_run(monkeypatch, lambda: ratio_trace(ODD_SEED, 0, 0, n)) == n + 1
-    assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 4 * n + 8
+    assert _gcds_run(monkeypatch, lambda: substitution_check(PLUS_MAP, Fraction(1, 3), Fraction(2, 5), n)) == 3 * n + 5
 
 
 # each run with the number of its windows that start far out, at u(k) with |k| >= 250

@@ -1,4 +1,11 @@
-"""The package surface: `aurea` re-exports every module's `__all__` and nothing twice."""
+"""The package surface: `aurea` re-exports every module's `__all__` and nothing twice.
+
+`riccati` reads the recurrence kernel only through its value readers, so the
+kernel's clearing scale stays private to `horadam`.
+"""
+
+import ast
+from pathlib import Path
 
 import aurea
 from aurea import exact, fibfunc, horadam, limits, riccati
@@ -40,3 +47,14 @@ def test_all_is_the_union_of_the_module_lists():
             assert getattr(aurea, name) is getattr(module, name)
     for name in ("PLUS", "MINUS", "STANDARD", "ODD", "FORWARD", "BACKWARD", "as_rational"):
         assert name in aurea.__all__
+
+
+def test_riccati_reads_the_kernel_through_its_readers_alone():
+    tree = ast.parse(Path(riccati.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "horadam" and node.level == 1
+        for alias in node.names
+    }
+    assert imported and imported <= {"_orbit", "ratios", "terms"}

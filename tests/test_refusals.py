@@ -18,6 +18,7 @@ from aurea import (
     PeriodicSeed,
     RatioParams,
     RiccatiParams,
+    certificate,
     classify_initial,
     closed_form_trajectory,
     decimal_str,
@@ -100,6 +101,14 @@ CASES = {
         ValueError("n must be nonnegative"),
     ),
     "nesting-negative-n-max": (lambda: nesting_check(-1), ValueError("n_max must be nonnegative")),
+    "certificate-fk-0": (
+        lambda: certificate(1, 0, Fraction(1, 10)),
+        DomainError("certificate requires f0 >= 0 and fk > 0"),
+    ),
+    "certificate-f0-0-fk-0": (
+        lambda: certificate(0, 0, Fraction(1, 10)),
+        DomainError("certificate requires f0 >= 0 and fk > 0"),
+    ),
     "orbit-negative-n": (lambda: iterate_orbit(GOLDEN, 0, -1), ValueError("n must be nonnegative")),
     "closed-form-negative-n": (lambda: closed_form_trajectory(GOLDEN, 0, -1), ValueError("n must be nonnegative")),
     "forbidden-set-depth-0": (lambda: forbidden_set(GOLDEN, 0), ValueError("depth must be at least 1")),
