@@ -3,17 +3,17 @@
 Rationals are plain reduced `fractions.Fraction` values; this module adds
 their canonical "num/den" wire format, and exact arithmetic, sign evaluation
 and decimal rendering for elements a + b*sqrt(d) of a real quadratic field.
-`QuadraticSurd`'s binary operators share one protocol: one operand reader,
-`_parts`, reads an int, Fraction or surd in the surd's field; one result
-builder, `_operator`, builds an arithmetic operator's one surd from its formula
-for the two rational parts; one sign core, `_difference_sign`, decides
-`sign()`, the orderings and `abs_lt`/`abs_le` in integers, building no surd for
-any bound.  A power reads one pair of the `horadam` kernel (see `__pow__`).
-`_floor` gives the exact floor of a + b*sqrt(d) from one `isqrt`, for
-`decimal_str` and for `_cut`: a caller that compares many rationals with one
-fixed surd brackets it once between consecutive multiples of 2**-bits, and
-decides each comparison outside that bracket with one integer product; only
-a rational inside the bracket reaches the sign core.
+One operand reader, `_parts`, reads two ints, Fractions or surds as parts
+in the one field they share, and is the one place that decides that field.
+An arithmetic operator builds its one result from those parts (`_operator`);
+the orderings, `abs_lt`/`abs_le`, `surd_sign` and `decimal_str` take a sign
+from one sign core, `_difference_sign`, in integers, building no surd.  A
+power reads one pair of the `horadam` kernel (see `__pow__`).  One primitive,
+`_floor`, the exact floor of a + b*sqrt(d) from one `isqrt`, decides the sign
+core's irrational case, renders `decimal_str` and brackets `_cut`: a caller
+that compares many rationals with one fixed surd brackets it once between
+consecutive multiples of 2**-bits, and decides each comparison outside that
+bracket with one integer product; only one inside reaches the sign core.
 `_Record` is the one base of every library value type, `QuadraticSurd` included.
 """
 
@@ -191,27 +191,18 @@ def sqrt_decomposition(value: Fraction | int) -> tuple[Fraction, int]:
     return Fraction(s, value.denominator), d
 
 
-def _int_sign(p: int, q: int, d: int) -> int:
-    """Exact sign of p + q*sqrt(d) for ints p, q, with sqrt(d) irrational unless q == 0."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    sign_q = 1 if q > 0 else -1
-    if p == 0 or (p > 0) == (q > 0):
-        return sign_q
-    # opposite signs: compare p*p against q*q*d; sqrt(d) is irrational so
-    # the two can never be equal here
-    return -sign_q if p * p > q * q * d else sign_q
-
-
 def _difference_sign(a, b, c, e, d: int) -> int:
     """Exact sign of (a - c) + (b - e)*sqrt(d) for int or Fraction parts, decided in integers with no surd built.
 
-    Times the positive a_den*c_den*b_den*e_den it is (a_num*c_den - c_num*a_den)*b_den*e_den +
-    (b_num*e_den - e_num*b_den)*a_den*c_den*sqrt(d).
+    Times the positive a_den*c_den*b_den*e_den it is p + r*sqrt(d) for the ints p and r below.  For r != 0
+    that is irrational, so never 0, and positive exactly when its `_floor` is >= 0.
     """
     ad, bd, cd, ed = a.denominator, b.denominator, c.denominator, e.denominator
     p = (a.numerator * cd - c.numerator * ad) * bd * ed
-    return _int_sign(p, (b.numerator * ed - e.numerator * bd) * ad * cd, d)
+    r = (b.numerator * ed - e.numerator * bd) * ad * cd
+    if r == 0:
+        return (p > 0) - (p < 0)
+    return 1 if _floor(p, r, d) >= 0 else -1
 
 
 def _floor(a, b, d: int) -> int:
@@ -254,26 +245,47 @@ def _cut(value: QuadraticSurd, bits: int):
     return sign
 
 
+def _parts(x: object, y: object) -> tuple[Fraction | int, Fraction | int, Fraction | int, Fraction | int, int] | None:
+    """(a, b, c, e, d) of x = a + b*sqrt(d) and y = c + e*sqrt(d), each an int, Fraction or surd; None for another type.
+
+    d is x's radicand when x is irrational, else y's; an int or Fraction reads as radicand 2, the one a
+    rational-valued surd has.  Two irrational surds share a field only when their radicands are equal.
+    """
+    parts = []
+    for value in (x, y):
+        if isinstance(value, QuadraticSurd):
+            parts += value.a, value.b, value.d
+        elif isinstance(value, (int, Fraction)):
+            parts += value, 0, 2
+        else:
+            return None
+    a, b, dx, c, e, dy = parts
+    if b and e and dx != dy:
+        raise DomainError(f"incompatible radicands {dx} and {dy}")
+    return a, b, c, e, dx if b else dy
+
+
+def _read(x, y) -> tuple[Fraction | int, Fraction | int, Fraction | int, Fraction | int, int]:
+    """`_parts` of two public arguments, each a surd or read by `as_rational`, so a "num/den" str is accepted."""
+    return _parts(*[value if isinstance(value, QuadraticSurd) else as_rational(value) for value in (x, y)])
+
+
 def _ordering(test):
     """A QuadraticSurd ordering: test(sign) on the exact sign of self - other; NotImplemented for a foreign type."""
     def compare(self, other: object) -> bool:
-        sign = self._sign_minus(other)
-        return NotImplemented if sign is None else test(sign)
+        parts = _parts(self, other)
+        return NotImplemented if parts is None else test(_difference_sign(*parts))
     return compare
 
 
 def _operator(formula):
-    """A QuadraticSurd arithmetic operator that builds its one result from formula(a, b, c, e, d).
+    """A QuadraticSurd arithmetic operator whose one result has the rational parts formula(*_parts(self, other)).
 
-    The formula gives the result's two rational parts from self = a + b*sqrt(d) and the operand
-    c + e*sqrt(d) read by `_parts`; a foreign operand type gives NotImplemented.
+    A foreign operand type gives NotImplemented.
     """
     def apply(self, other: object) -> QuadraticSurd:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        c, e, d = parts
-        return QuadraticSurd(*formula(self.a, self.b, c, e, d), d)
+        parts = _parts(self, other)
+        return NotImplemented if parts is None else QuadraticSurd(*formula(*parts), parts[4])
     return apply
 
 
@@ -336,24 +348,6 @@ class QuadraticSurd(_Record):
         """Exact sign, decided in integers without floating point."""
         return _difference_sign(self.a, self.b, 0, 0, self.d)
 
-    def _sign_minus(self, other: object) -> int | None:
-        """Exact sign of self - other with no surd built; None for a type it cannot order."""
-        parts = self._parts(other)
-        return None if parts is None else _difference_sign(self.a, self.b, *parts)
-
-    def _parts(self, other: object) -> tuple[Fraction | int, Fraction | int, int] | None:
-        """(c, e, d) of an int, Fraction or surd operand c + e*sqrt(d), d the field it shares with self.
-
-        None for any other type; two irrational surds share a field only when their radicands are equal.
-        """
-        if isinstance(other, (int, Fraction)):
-            return other, 0, self.d
-        if not isinstance(other, QuadraticSurd):
-            return None
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            raise DomainError(f"incompatible radicands {self.d} and {other.d}")
-        return other.a, other.b, other.d if self.b == 0 else self.d
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
@@ -411,22 +405,13 @@ class QuadraticSurd(_Record):
 
 
 def surd_sign(value: QuadraticSurd | Fraction | int) -> int:
-    """Exact sign in {-1, 0, 1} of a rational or quadratic surd."""
-    if isinstance(value, QuadraticSurd):
-        return value.sign()
-    value = as_rational(value)
-    return (value > 0) - (value < 0)
+    """Exact sign in {-1, 0, 1} of a rational or quadratic surd: the sign core on its parts against 0."""
+    return _difference_sign(*_read(value, 0))
 
 
 def _bound_signs(value, bound) -> tuple[int, int]:
-    """Exact signs of value - bound and value + bound: the sign core on the bound's parts, then on their negation."""
-    value, bound = (x if isinstance(x, QuadraticSurd) else as_rational(x) for x in (value, bound))
-    if isinstance(value, QuadraticSurd):
-        a, b, (c, e, d) = value.a, value.b, value._parts(bound)
-    elif isinstance(bound, QuadraticSurd):
-        (a, b, d), c, e = bound._parts(value), bound.a, bound.b
-    else:
-        a, b, c, e, d = value, 0, bound, 0, 2
+    """Exact signs of value - bound and value + bound, by the sign core on the parts `_read` gives them."""
+    a, b, c, e, d = _read(value, bound)
     return _difference_sign(a, b, c, e, d), _difference_sign(a, b, -c, -e, d)
 
 
@@ -465,11 +450,8 @@ def decimal_str(value: QuadraticSurd | Fraction | int, digits: int = 12) -> str:
     """
     if digits < 0:
         raise ValueError("digits must be nonnegative")
-    if isinstance(value, QuadraticSurd):
-        a, b, d, negative = value.a, value.b, value.d, value.sign() < 0
-    else:
-        a, b, d = as_rational(value), Fraction(0), 1
-        negative = a < 0
+    a, b, c, e, d = _read(value, 0)
+    negative = _difference_sign(a, b, c, e, d) < 0
     if negative:
         a, b = -a, -b
     scale = 10**digits

@@ -115,7 +115,7 @@ def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
     where w(k+2) = P*w(k+1) + Q*w(k), P = A*D and Q = B*D**2 are ints.  The
     arguments are (1, Q, P), whose step takes (w(k), w(k+1)) to
     (w(k+1), w(k+2)), the pair (x, y) and c at lo, and D, so u(k) = x/c and
-    u(k+1) = y/(c*D) at every yield (x, y, c, g).  The pair is reached from
+    u(k+1) = y/(c*D) at every yield (x, y, c).  The pair is reached from
     (w(0), w(1)) by powering that step's matrix C = (0, 1, Q, P), or, for
     lo < 0, its adjugate (P, -1, -Q, 0), which is -Q times the inverse of C;
     then c is E*(-Q/D)**(-lo), an int that may be negative.  That one matrix
@@ -161,23 +161,23 @@ def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
     return n, d
 
 
-def _steps(alpha, beta, gamma, x, y, c=0, D=1) -> Iterator[tuple[int, int, int, int]]:
-    """(x, y, c, g): the start over gcd(c, x, y), then each image (alpha*y, beta*x + gamma*y, c*D) over g, its content.
+def _steps(alpha, beta, gamma, x, y, c=0, D=1) -> Iterator[tuple[int, int, int]]:
+    """(x, y, c): the start over gcd(c, x, y), then each image (alpha*y, beta*x + gamma*y, c*D) over g, its content.
 
     M = [[0, alpha], [beta, gamma]] steps (x, y); det M = -alpha*beta is
     nonzero, and D divides it unless c = 0.  g divides det M: a prime power
     in g divides det*(x, y), the adjugate of M times the image, so it
     divides det unless its prime divides both x and y; then the prime does
     not divide c, so the power divides D.  One gcd against |det| keeps every
-    yield content-free, and g is 1 at the start.  With c = 0 the pairs are
-    coprime points of the map z -> alpha/(beta*z + gamma).
+    yield content-free.  With c = 0 the pairs are coprime points of the map
+    z -> alpha/(beta*z + gamma).
     """
     g = gcd(c, x, y)
     if g > 1:
         x, y, c = x // g, y // g, c // g
-    det, g = abs(alpha * beta), 1
+    det = abs(alpha * beta)
     while True:
-        yield x, y, c, g
+        yield x, y, c
         x, y, c = alpha * y, beta * x + gamma * y, c * D
         g = gcd(det, x, y, c)
         if g > 1:
@@ -196,13 +196,13 @@ def _orbit(coefficients: tuple, x, y, count: int) -> tuple[list[Fraction], int |
     They come with its index (a zero denominator, or a 0/0 seed), or None; `coefficients` is (alpha, beta, gamma).
     """
     pairs = islice(_steps(*_ints(*coefficients), *_ints(x, y)), count)
-    values = [_from_coprime(a, b) for a, b, _, _ in takewhile(itemgetter(1), pairs)]
+    values = [_from_coprime(a, b) for a, b, _ in takewhile(itemgetter(1), pairs)]
     return values, (len(values) if len(values) < count else None)
 
 
 def ratios(A, B, a, b) -> Iterator[Fraction | None]:
     """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0: the pairs (u(k), u(k+1)) of z -> 1/(B*z + A) from a/b."""
-    return (_from_coprime(y, x) if x else None for x, y, _, _ in _steps(*_ints(1, B, A), *_ints(a, b)))
+    return (_from_coprime(y, x) if x else None for x, y, _ in _steps(*_ints(1, B, A), *_ints(a, b)))
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
@@ -213,7 +213,7 @@ def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
     if hi < lo:
         return []
     start, m = _start(A, B, a, b, lo)
-    return [_from_coprime(*_coprime(x, c, m)) for x, _, c, _ in islice(_steps(*start), hi - lo + 1)]
+    return [_from_coprime(*_coprime(x, c, m)) for x, _, c in islice(_steps(*start), hi - lo + 1)]
 
 
 def horadam_term(params: RecurrenceParams, n: int) -> Fraction:

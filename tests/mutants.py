@@ -242,6 +242,34 @@ MUTANTS = [
         "substitution_check fails where the window and the orbit meet the pole at the same step",
         "test_riccati.py",
     ),
+    (
+        "limits.py",
+        "3 + int(excess / rate)",
+        "3 + int(excess * rate)",
+        "certificate's log estimate of N lands far below N, so its exact fix-up walks N up one power at a time",
+        "test_certificate.py",
+    ),
+    (
+        "exact.py",
+        "return a, b, c, e, dx if b else dy",
+        "return a, b, c, e, dy if b else dx",
+        "_parts takes the field from the rational side, so a surd meets an int or a rational-valued surd in Q(sqrt(2))",
+        "test_exact.py",
+    ),
+    (
+        "exact.py",
+        "if b and e and dx != dy:",
+        "if e and dx != dy:",
+        "_parts refuses a rational-valued surd on the left of a surd whose radicand is not 2",
+        "test_exact.py",
+    ),
+    (
+        "exact.py",
+        "_floor(p, r, d) >= 0",
+        "_floor(p, r, d) > 0",
+        "the sign core calls an irrational difference in (0, 1) negative",
+        "test_exact.py",
+    ),
 ]
 
 

@@ -174,6 +174,40 @@ def test_mixed_radicands():
     assert a != b
 
 
+TWO_OPERAND_RUNS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "abs_lt": abs_lt,
+    "abs_le": abs_le,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_OPERAND_RUNS))
+@pytest.mark.parametrize("left, right", [(2, 3), (3, 2)])
+def test_two_irrational_fields_never_mix(name, left, right):
+    """Every operator, ordering and abs bound refuses sqrt(left) against sqrt(right), and == reads them unequal."""
+    x, y = QuadraticSurd(1, 1, left), QuadraticSurd(1, 1, right)
+    with pytest.raises(DomainError, match=f"incompatible radicands {left} and {right}"):
+        TWO_OPERAND_RUNS[name](x, y)
+    assert not x == y
+
+
+@pytest.mark.parametrize("name", sorted(TWO_OPERAND_RUNS))
+def test_a_rational_valued_surd_mixes_with_any_field(name):
+    """A rational-valued surd, radicand 2 once built, acts as its Fraction on either side of a surd of Q(sqrt(3))."""
+    four, y = QuadraticSurd(4, 0, 3), QuadraticSurd(1, -1, 3)
+    assert four.d == 2
+    run = TWO_OPERAND_RUNS[name]
+    assert run(four, y) == run(Fraction(4), y)
+    assert run(y, four) == run(y, Fraction(4))
+
+
 def test_surd_division_and_inverse():
     a = QuadraticSurd(3, -2, 5)
     assert a / a == 1

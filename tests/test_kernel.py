@@ -233,8 +233,9 @@ small_int = st.integers(-9, 9)
 def test_steps_yield_the_content_free_matrix_powers(coefficients, x, y, c, scale, count, d):
     """Yield k of `_steps` is (M**k*(x, y), c*D**k) over its content, for D = gcd(d, det M), a divisor of det M.
 
-    M = [[0, alpha], [beta, gamma]], so det M = -alpha*beta.  Its g divides
-    det M, is 1 at the start, and times the yield is the image of the one before.
+    M = [[0, alpha], [beta, gamma]], so det M = -alpha*beta.  The content g
+    of the image of the yield before divides det M, and the yield is that
+    image over g.
     """
     alpha, beta, gamma = coefficients
     det = -alpha * beta
@@ -242,17 +243,17 @@ def test_steps_yield_the_content_free_matrix_powers(coefficients, x, y, c, scale
     assume(x or y or c)
     D = gcd(d, det)
     ref, previous = (scale * x, scale * y, scale * c), None
-    for sx, sy, sc, g in islice(horadam._steps(*coefficients, *ref, D), count):
+    for step in islice(horadam._steps(*coefficients, *ref, D), count):
         content = gcd(*ref)
-        assert (sx, sy, sc) == tuple(value // content for value in ref)
-        assert gcd(sx, sy, sc) == 1
-        assert det % g == 0
-        if previous is None:
-            assert g == 1
-        else:
+        assert step == tuple(value // content for value in ref)
+        assert gcd(*step) == 1
+        if previous is not None:
             px, py, pc = previous
-            assert (g * sx, g * sy, g * sc) == (alpha * py, beta * px + gamma * py, pc * D)
-        previous = sx, sy, sc
+            image = (alpha * py, beta * px + gamma * py, pc * D)
+            g = gcd(*image)
+            assert det % g == 0
+            assert step == tuple(value // g for value in image)
+        previous = step
         ref = (alpha * ref[1], beta * ref[0] + gamma * ref[1], ref[2] * D)
 
 
@@ -492,8 +493,8 @@ def test_the_ints_at_an_index_do_not_depend_on_the_start(A, B, a, b, lo, offset)
     the same ints at k >= 0 as a run from 0.
     """
     k = lo + offset
-    (x, y, c, _), = islice(horadam._steps(*horadam._start(A, B, a, b, lo)[0]), offset, offset + 1)
-    assert next(horadam._steps(*horadam._start(A, B, a, b, k)[0]))[:3] in ((x, y, c), (-x, -y, -c))
+    (x, y, c), = islice(horadam._steps(*horadam._start(A, B, a, b, lo)[0]), offset, offset + 1)
+    assert next(horadam._steps(*horadam._start(A, B, a, b, k)[0])) in ((x, y, c), (-x, -y, -c))
 
 
 @pytest.mark.parametrize("lo", [2**17, 2**17 + 1, -(2**17), 3 * 2**16, 10**5])
