@@ -7,13 +7,14 @@ One operand reader, `_parts`, reads two ints, Fractions or surds as parts
 in the one field they share, and is the one place that decides that field.
 An arithmetic operator builds its one result from those parts (`_operator`);
 the orderings, `abs_lt`/`abs_le`, `surd_sign` and `decimal_str` take a sign
-from one sign core, `_difference_sign`, in integers, building no surd.  A
-power reads one pair of the `horadam` kernel (see `__pow__`).  One primitive,
-`_floor`, the exact floor of a + b*sqrt(d) from one `isqrt`, decides the sign
-core's irrational case, renders `decimal_str` and brackets `_cut`: a caller
-that compares many rationals with one fixed surd brackets it once between
-consecutive multiples of 2**-bits, and decides each comparison outside that
-bracket with one integer product; only one inside reaches the sign core.
+from one sign core, `_difference_sign`, in integers, building no surd: it
+compares two squares only when the rational and irrational parts differ in
+sign.  A power reads one pair of the `horadam` kernel (see `__pow__`).
+`_floor`, the exact floor of a + b*sqrt(d) from one `isqrt`, renders
+`decimal_str` and brackets `_cut`: a caller that compares many rationals with
+one fixed surd brackets it once between consecutive multiples of 2**-bits,
+and decides each comparison outside that bracket with one integer product;
+only one inside reaches the sign core.
 `_Record` is the one base of every library value type, `QuadraticSurd` included.
 """
 
@@ -132,29 +133,13 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Canonical "num/den" form with the denominator always spelled out, e.g. "-3/2", "7/1".
 
-    A plain Fraction is read through the slots `_from_coprime` writes, so
-    the call costs little more than the two int-to-str conversions.
+    A plain Fraction is read through its `_numerator` and `_denominator`
+    slots, so the call costs little more than the two int-to-str conversions.
     """
     if type(value) is Fraction:
         return f"{value._numerator}/{value._denominator}"
     value = as_rational(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _from_coprime(numerator: int, denominator: int) -> Fraction:
-    """numerator/denominator for coprime ints, denominator nonzero, with no gcd.
-
-    `Fraction(n, d)` runs gcd(n, d) on every call; callers that already know
-    the pair is coprime build the value here, through the `_numerator` and
-    `_denominator` slots every supported Python version has.  The sign moves
-    to the numerator, so the result is the canonical Fraction.
-    """
-    if denominator < 0:
-        numerator, denominator = -numerator, -denominator
-    value = object.__new__(Fraction)
-    value._numerator = numerator
-    value._denominator = denominator
-    return value
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -195,14 +180,17 @@ def _difference_sign(a, b, c, e, d: int) -> int:
     """Exact sign of (a - c) + (b - e)*sqrt(d) for int or Fraction parts, decided in integers with no surd built.
 
     Times the positive a_den*c_den*b_den*e_den it is p + r*sqrt(d) for the ints p and r below.  For r != 0
-    that is irrational, so never 0, and positive exactly when its `_floor` is >= 0.
+    that is irrational, so never 0: it has r's sign when p is 0 or of r's sign, and otherwise the sign of
+    whichever of p and r*sqrt(d) is larger in size, decided by p*p against r*r*d, never equal.
     """
     ad, bd, cd, ed = a.denominator, b.denominator, c.denominator, e.denominator
     p = (a.numerator * cd - c.numerator * ad) * bd * ed
     r = (b.numerator * ed - e.numerator * bd) * ad * cd
     if r == 0:
         return (p > 0) - (p < 0)
-    return 1 if _floor(p, r, d) >= 0 else -1
+    if p and (p > 0) != (r > 0) and p * p > r * r * d:
+        return 1 if p > 0 else -1
+    return 1 if r > 0 else -1
 
 
 def _floor(a, b, d: int) -> int:

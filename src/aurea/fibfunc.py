@@ -170,7 +170,7 @@ def verify_convergence(
             cert = certificate(abs(f0), abs(f1), epsilon)  # -f has the same ratios as f
         first_step = None
         achieved = None
-        for n, ratio in zip(range(horizon + 1), ratios(A, B, f0, f1)):
+        for n, ratio in enumerate(ratios(A, B, f0, f1, horizon + 1)):
             if ratio is not None:
                 achieved = ratio
                 if above_low(ratio) > 0 > above_high(ratio):

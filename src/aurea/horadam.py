@@ -43,28 +43,30 @@ vector (x, y, c), (x, y) -> (alpha*y, beta*x + gamma*y) and c -> c*D.  Each
 image is divided by its content, which divides the small -alpha*beta, the
 det of [[0, alpha], [beta, gamma]], so every step takes one gcd with that
 small int as an operand.  The start's content, gcd(c, x, y), is the one gcd
-that may have only big operands, as at a window far out.  A window, one
+that may have only big operands, as at a window far out.  Its one loop reads
+each value off the vector and writes the reduced Fraction's slots itself, so
+a value costs its step and its reduction and no Python call.  A window, one
 term included, runs `_start`'s (1, Q, P) on c = E*D**lo, or
 E*(-Q/D)**(-lo) for lo < 0, with u(k) = x/c and u(k+1) = y/(c*D); the
-common factor of a term x/c divides a power of E*Q, so `_coprime`, by gcds
-against E*Q, reduces it.  As every yield is content-free, the ints at an
-index are the same up to sign from any start.  A ratio stream is an orbit
-run on c = 0 as coprime pairs: `_orbit` clears its (alpha, beta, gamma) and
-seed to ints once, stops before the first infinite point, reporting its
-index, and `exact._from_coprime` builds each reduced Fraction without a
-gcd.  t(k)/t(k+1) of a recurrence is the orbit of (1, B, A); `ratios`
-steps it from (u(0), u(1)) without end, reading each pair upside down.
+common factor of a term x/c divides a power of E*Q, so gcds against E*Q
+strip it.  As every vector is content-free, the ints at an index are the
+same up to sign from any start.  A ratio stream is an orbit run on c = 0 as
+coprime pairs: `_orbit` clears its (alpha, beta, gamma) and seed to ints
+once and reads x/y, ending before the first infinite point and reporting
+its index.  t(k)/t(k+1) of a recurrence is the orbit of (1, B, A); `ratios`
+steps it from (u(0), u(1)), reading each pair upside down, CHUNK pairs per
+resumption up to the count its reader needs, or one at a time without one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
 
-from .exact import DomainError, _from_coprime, _Record, as_rational
+from .exact import DomainError, _Record, as_rational
 
 __all__ = [
     "FIBONACCI",
@@ -115,7 +117,7 @@ def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
     where w(k+2) = P*w(k+1) + Q*w(k), P = A*D and Q = B*D**2 are ints.  The
     arguments are (1, Q, P), whose step takes (w(k), w(k+1)) to
     (w(k+1), w(k+2)), the pair (x, y) and c at lo, and D, so u(k) = x/c and
-    u(k+1) = y/(c*D) at every yield (x, y, c).  The pair is reached from
+    u(k+1) = y/(c*D) at every vector (x, y, c) it steps.  The pair is reached from
     (w(0), w(1)) by powering that step's matrix C = (0, 1, Q, P), or, for
     lo < 0, its adjugate (P, -1, -Q, 0), which is -Q times the inverse of C;
     then c is E*(-Q/D)**(-lo), an int that may be negative.  That one matrix
@@ -143,45 +145,61 @@ def _start(A, B, a, b, lo: int) -> tuple[tuple[int, ...], int]:
     return (1, Q, P, x, y, c, D), E * Q
 
 
-def _coprime(n: int, d: int, m: int) -> tuple[int, int]:
-    """n/d in lowest terms, for d != 0 whose primes all divide m, by gcds against the small m.
+def _steps(alpha, beta, gamma, x, y, c, D, m, *, sizes, upside_down=False) -> Iterator[tuple[list, tuple]]:
+    """(values, (x, y, c)) for each size in `sizes`: that many more values read off the vector, and the last one read.
 
-    A common factor t is stripped as its largest power t**(2**j) that divides
-    both, so the rounds stay logarithmic in the common factor's size.
-    """
-    if not n:
-        return 0, 1
-    t = gcd(m, n, d)
-    while t > 1:
-        s = t * t
-        while not (n % s or d % s):
-            t, s = s, s * s
-        n, d = n // t, d // t
-        t = gcd(m, n, d)
-    return n, d
-
-
-def _steps(alpha, beta, gamma, x, y, c=0, D=1) -> Iterator[tuple[int, int, int]]:
-    """(x, y, c): the start over gcd(c, x, y), then each image (alpha*y, beta*x + gamma*y, c*D) over g, its content.
-
-    M = [[0, alpha], [beta, gamma]] steps (x, y); det M = -alpha*beta is
-    nonzero, and D divides it unless c = 0.  g divides det M: a prime power
-    in g divides det*(x, y), the adjugate of M times the image, so it
-    divides det unless its prime divides both x and y; then the prime does
-    not divide c, so the power divides D.  One gcd against |det| keeps every
-    yield content-free.  With c = 0 the pairs are coprime points of the map
-    z -> alpha/(beta*z + gamma).
+    Value k is read off (x, y, c) after k steps (x, y, c) -> (alpha*y, beta*x + gamma*y, c*D), the start
+    taken over gcd(c, x, y).  M = [[0, alpha], [beta, gamma]] steps (x, y); det M = -alpha*beta is nonzero,
+    and D divides it unless c = 0.  A step's content g divides det M: a prime power in g divides
+    det*(x, y), the adjugate of M times the image, so it divides det unless its prime divides both x and
+    y; then the prime does not divide c, so the power divides D.  One gcd against |det| keeps every
+    vector content-free.  With c != 0 the value is the term x/c, whose common factor divides a power of
+    m: a factor t is stripped as its largest power t**(2**j) dividing both, so the rounds of gcds against
+    m stay logarithmic in its size.  With c = 0, where D and m are 1 and unread, it is the point x/y of
+    z -> alpha/(beta*z + gamma), a chunk ending before the first infinite one, or, `upside_down`, y/x,
+    None where x = 0.
     """
     g = gcd(c, x, y)
     if g > 1:
         x, y, c = x // g, y // g, c // g
-    det = abs(alpha * beta)
-    while True:
-        yield x, y, c
-        x, y, c = alpha * y, beta * x + gamma * y, c * D
-        g = gcd(det, x, y, c)
-        if g > 1:
-            x, y, c = x // g, y // g, c // g
+    det, read, new = abs(alpha * beta), 0, object.__new__
+    for size in sizes:
+        values = []
+        for i in range(read, read + size):
+            if i:
+                x, y, c = alpha * y, beta * x + gamma * y, c * D
+                g = gcd(det, x, y, c)
+                if g > 1:
+                    x, y, c = x // g, y // g, c // g
+            if c:
+                n, d = x, c
+                if n:
+                    t = gcd(m, n, d)
+                    while t > 1:
+                        s = t * t
+                        while not (n % s or d % s):
+                            t, s = s, s * s
+                        n, d = n // t, d // t
+                        t = gcd(m, n, d)
+                else:
+                    d = 1
+            elif upside_down:
+                if not x:
+                    values.append(None)
+                    continue
+                n, d = y, x
+            else:
+                if not y:
+                    break
+                n, d = x, y
+            if d < 0:
+                n, d = -n, -d
+            value = new(Fraction)
+            value._numerator = n
+            value._denominator = d
+            values.append(value)
+        yield values, (x, y, c)
+        read += size
 
 
 def _ints(*values) -> list[int]:
@@ -195,25 +213,31 @@ def _orbit(coefficients: tuple, x, y, count: int) -> tuple[list[Fraction], int |
 
     They come with its index (a zero denominator, or a 0/0 seed), or None; `coefficients` is (alpha, beta, gamma).
     """
-    pairs = islice(_steps(*_ints(*coefficients), *_ints(x, y)), count)
-    values = [_from_coprime(a, b) for a, b, _ in takewhile(itemgetter(1), pairs)]
+    (values, _), = _steps(*_ints(*coefficients), *_ints(x, y), 0, 1, 1, sizes=(count,))
     return values, (len(values) if len(values) < count else None)
 
 
-def ratios(A, B, a, b) -> Iterator[Fraction | None]:
-    """u(k+1)/u(k) for k = 0, 1, 2, ..., None where u(k) = 0: the pairs (u(k), u(k+1)) of z -> 1/(B*z + A) from a/b."""
-    return (_from_coprime(y, x) if x else None for x, y, _ in _steps(*_ints(1, B, A), *_ints(a, b)))
+CHUNK = 64  # values a counted ratio stream steps per resumption of `_steps`
+
+
+def ratios(A, B, a, b, count=None) -> Iterator[Fraction | None]:
+    """u(k+1)/u(k) for k = 0 .. count - 1, or without end, None where u(k) = 0: z -> 1/(B*z + A) from a/b, upside down.
+
+    With a count they are stepped CHUNK at a time, the last chunk trimmed to the count, so a reader that
+    stops early has had fewer than CHUNK more stepped and none past the count; without one, one at a time.
+    """
+    sizes = repeat(1) if count is None else chain(repeat(CHUNK, count // CHUNK), (count % CHUNK,))
+    chunks = _steps(*_ints(1, B, A), *_ints(a, b), 0, 1, 1, sizes=sizes, upside_down=True)
+    return chain.from_iterable(map(itemgetter(0), chunks))
 
 
 def terms(A, B, a, b, lo: int, hi: int) -> list[Fraction]:
-    """u(lo) .. u(hi) inclusive, at indices of either sign: one run of `_steps` from `_start`.
-
-    Each term x/c it reads is reduced by `_coprime` against E*Q.
-    """
+    """u(lo) .. u(hi) inclusive, at indices of either sign: one chunk of `_steps` from `_start`."""
     if hi < lo:
         return []
     start, m = _start(A, B, a, b, lo)
-    return [_from_coprime(*_coprime(x, c, m)) for x, _, c in islice(_steps(*start), hi - lo + 1)]
+    (values, _), = _steps(*start, m, sizes=(hi - lo + 1,))
+    return values
 
 
 def horadam_term(params: RecurrenceParams, n: int) -> Fraction:

@@ -30,7 +30,6 @@ The paper's closed forms for both branches are kept as test oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 
 from .exact import MINUS, PLUS, DomainError, QuadraticSurd, _Record, as_rational, quadratic_roots
 from .horadam import _orbit, ratios, terms
@@ -171,7 +170,7 @@ def forbidden_set(params: RiccatiParams, depth: int) -> list[Fraction]:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     A, B = params.plus_form()
-    u_ratios = list(islice(ratios(A, B, 1, A), depth))  # u(m+1)/u(m) from m = 1, all positive
+    u_ratios = list(ratios(A, B, 1, A, depth))  # u(m+1)/u(m) from m = 1, all positive
     return [-ratio for ratio in u_ratios] if params.branch == PLUS else u_ratios
 
 

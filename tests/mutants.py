@@ -96,8 +96,8 @@ MUTANTS = [
     ),
     (
         "horadam.py",
-        "takewhile(itemgetter(1), pairs)",
-        "takewhile(itemgetter(0), pairs)",
+        "if not y:",
+        "if not x:",
         "_orbit stops at the finite point 0 instead of the infinite point",
         "test_riccati.py",
     ),
@@ -265,10 +265,40 @@ MUTANTS = [
     ),
     (
         "exact.py",
-        "_floor(p, r, d) >= 0",
-        "_floor(p, r, d) > 0",
-        "the sign core calls an irrational difference in (0, 1) negative",
+        "return 1 if p > 0 else -1",
+        "return -1",
+        "the sign core calls an irrational difference whose rational part outweighs its surd part negative, as 2 - phi",
         "test_exact.py",
+    ),
+    (
+        "exact.py",
+        "if p and (p > 0) != (r > 0) and p * p > r * r * d:",
+        "if p and p * p > r * r * d:",
+        "the sign core squares both parts of a difference whose parts share a sign: the same signs at the cost of "
+        "two products, which only test_cut's count of products with the radicand sees",
+        "test_cut.py",
+    ),
+    (
+        "horadam.py",
+        "n, d = -n, -d",
+        "n, d = n, -d",
+        "a value read over a negative denominator drops that sign instead of moving it to the numerator",
+        "test_horadam.py",
+    ),
+    (
+        "horadam.py",
+        "t, s = s, s * s",
+        "s = s * s",
+        "a window term's common factor is stripped one factor t per round, not as its largest square power: "
+        "the same terms in rounds linear in the factor's size, which test_kernel's count of gcds sees",
+        "test_kernel.py",
+    ),
+    (
+        "horadam.py",
+        "(count % CHUNK,)",
+        "(CHUNK,)",
+        "a counted ratio stream fills its last chunk, stepping and handing out ratios past its count",
+        "test_kernel.py",
     ),
 ]
 

@@ -7,7 +7,9 @@ irrational value lies strictly between the two ends.  The hardest
 inputs are the bracket's own ends L/2**bits and (L + 1)/2**bits, rationals
 just inside and outside them, and convergents of the surd, whose distance
 from it shrinks like 1/q**2.  `_floor`, which gives L, is checked on its own
-against the sign core: L <= value < L + 1.
+against the sign core, which takes no floor: L <= value < L + 1.  The sign
+core reads a difference whose two parts share a sign off that sign, with no
+product and no square root.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from aurea import exact  # noqa: E402
 from aurea.exact import GOLDEN_RATIO, QuadraticSurd, _cut, _difference_sign, _floor  # noqa: E402
 from aurea.fibfunc import PeriodicSeed, verify_convergence  # noqa: E402
+from aurea.horadam import terms  # noqa: E402
 from aurea.limits import RatioParams, nesting_check  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -132,3 +135,39 @@ def test_batch_comparisons_never_reach_the_sign_core(monkeypatch):
     reports = []
     assert _sign_core_calls(monkeypatch, lambda: reports.extend(verify_convergence(seed, Fraction(1, 10**80), 600))) == 0
     assert reports[0].first_step == 192
+
+
+class _Radicand(int):
+    """An int radicand that counts the products taken with it."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.products = 0
+        return self
+
+    def __mul__(self, other):
+        self.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_a_same_sign_difference_takes_no_product_and_no_square_root(monkeypatch):
+    """p + r*sqrt(d) has r's sign when p is 0 or shares it; only opposite signs compare p*p with r*r*d.
+
+    -F(20001)/F(20000) < φ and F(20001)/F(20000) > -φ have parts of one sign, 13885 bits each;
+    F(20001)/F(20000) < φ and 2 > φ have opposite signs, and 1/2 < φ has p = 0.
+    """
+    fib = terms(1, 1, 0, 1, 20000, 20001)
+    x, half = Fraction(fib[1], fib[0]), Fraction(1, 2)
+    roots, real = [], exact.isqrt
+    monkeypatch.setattr(exact, "isqrt", lambda n: roots.append(n) or real(n))
+    assert -x < GOLDEN_RATIO and x > -GOLDEN_RATIO and half < GOLDEN_RATIO
+    assert not x < GOLDEN_RATIO and 2 > GOLDEN_RATIO
+    assert roots == []
+    d = _Radicand(5)
+    assert [_difference_sign(-x, 0, half, half, d), _difference_sign(x, 0, -half, -half, d)] == [-1, 1]
+    assert _difference_sign(half, 0, half, half, d) == -1
+    assert d.products == 0
+    assert [_difference_sign(x, 0, half, half, d), _difference_sign(2, 0, half, half, d)] == [1, 1]
+    assert d.products == 2

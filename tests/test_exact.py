@@ -19,7 +19,7 @@ from aurea.exact import (
     sqrt_decomposition,
     surd_sign,
 )
-from aurea.exact import _from_coprime
+from aurea.horadam import _orbit
 
 
 def _coprime_pairs(rng, count):
@@ -33,12 +33,17 @@ def _coprime_pairs(rng, count):
     return pairs
 
 
-def test_from_coprime_is_the_fraction_the_constructor_builds():
-    """The gcd-free builder against Fraction(n, d): fields, equality, hash, order and arithmetic."""
+def test_a_stepped_value_is_the_fraction_the_constructor_builds():
+    """The stepper's slot-written value n/d, read at the start of an orbit, against Fraction(n, d).
+
+    Fields, equality, hash, order and arithmetic agree, so no reader of a stepped value can tell it from
+    one the constructor reduced.
+    """
     rng = random.Random(19)
     others = [Fraction(-7, 12), Fraction(3), Fraction(2**70 + 1, 3**40)]
     for n, d in _coprime_pairs(rng, 400):
-        built, ref = _from_coprime(n, d), Fraction(n, d)
+        (built,), _ = _orbit((1, 1, 0), n, d, 1)
+        ref = Fraction(n, d)
         assert isinstance(built, Fraction) and type(built) is Fraction
         assert (built.numerator, built.denominator) == (ref.numerator, ref.denominator)
         assert built == ref and hash(built) == hash(ref)
@@ -66,7 +71,7 @@ def test_format_rational_of_a_fraction_is_its_numerator_over_its_denominator():
     @settings(max_examples=300, deadline=None)
     @given(st.fractions() | st.builds(Fraction, st.integers(), st.integers(min_value=1)))
     @example(Fraction(0))
-    @example(_from_coprime(-(2**3000 + 1), 2**3001))
+    @example(Fraction(-(2**3000 + 1), 2**3001))
     def check(value):
         assert format_rational(value) == f"{value.numerator}/{value.denominator}"
 
@@ -92,7 +97,7 @@ def test_format_rational_past_the_str_limit_raises_the_interpreter_error():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("no int-to-str limit in this interpreter")
-    for value in (Fraction(10**limit, 3), _from_coprime(7, 10**limit), 10**limit, _Half(10**limit)):
+    for value in (Fraction(10**limit, 3), Fraction(7, 10**limit), 10**limit, _Half(10**limit)):
         with pytest.raises(ValueError, match="string conversion"):
             format_rational(value)
 

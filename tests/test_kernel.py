@@ -21,8 +21,10 @@ against a per-step Fraction formulation, and a wrong t(0) or t(1) planted
 into its window fails the closed form at every k.  A count of
 `Fraction.__new__` calls that must not grow with n keeps a per-step gcd from
 coming back; a count of horadam's own gcd calls holds every pair step to one,
-and `_start`'s tracemalloc peak keeps its power loop from squaring past the
-top bit of the index.
+a count of Python-level calls that is the same at n = 50 and n = 500 keeps a
+per-value call out of windows and orbits, and one per chunk out of counted
+ratio streams; tracemalloc peaks keep `_start`'s power loop from squaring past
+the top bit of the index and a counted ratio stream to one chunk at a time.
 
 `QuadraticSurd.__pow__` and `golden_power_trace` read their powers off the
 same kernel; they are checked against repeated multiplication, and a count
@@ -32,10 +34,11 @@ holds each arithmetic operator to the one surd it returns, and
 `quadratic_roots` to its two roots.
 """
 
+import gc
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd
 
 import pytest
@@ -230,12 +233,14 @@ small_int = st.integers(-9, 9)
 @example(coefficients=(1, 3, 0), x=0, y=0, c=5, scale=7, count=10, d=3)  # a zero pair: (0, 0, 1) throughout
 @example(coefficients=(1, -90, 14), x=3, y=-60, c=12, scale=1, count=30, d=6)  # _start's (1, Q, P) of (7/3, -5/2)
 @example(coefficients=(-1, 3, 5), x=-4, y=6, c=0, scale=6, count=40, d=1)  # c = 0: coprime pairs
+@example(coefficients=(1, 1, 0), x=1, y=0, c=0, scale=3, count=12, d=1)  # c = 0 from an infinite point: 1/0, 0/1, 1/0, ...
 def test_steps_yield_the_content_free_matrix_powers(coefficients, x, y, c, scale, count, d):
-    """Yield k of `_steps` is (M**k*(x, y), c*D**k) over its content, for D = gcd(d, det M), a divisor of det M.
+    """After k steps `_steps` has read (M**k*(x, y), c*D**k) over its content, for D = gcd(d, det M), a divisor of det M.
 
-    M = [[0, alpha], [beta, gamma]], so det M = -alpha*beta.  The content g
-    of the image of the yield before divides det M, and the yield is that
-    image over g.
+    M = [[0, alpha], [beta, gamma]], so det M = -alpha*beta.  Chunks of one value each expose the vector
+    at every k.  The content g of the image of the vector before divides det M, and the vector is that
+    image over g.  The value read off it is x/(c*D**k) for c != 0, reduced by gcds against m = c*D, whose
+    primes are all those of c*D**k, and x/y for c = 0, which ends its chunk empty where y = 0.
     """
     alpha, beta, gamma = coefficients
     det = -alpha * beta
@@ -243,7 +248,8 @@ def test_steps_yield_the_content_free_matrix_powers(coefficients, x, y, c, scale
     assume(x or y or c)
     D = gcd(d, det)
     ref, previous = (scale * x, scale * y, scale * c), None
-    for step in islice(horadam._steps(*coefficients, *ref, D), count):
+    chunks = horadam._steps(*coefficients, *ref, D, scale * c * D or 1, sizes=repeat(1))
+    for values, step in islice(chunks, count):
         content = gcd(*ref)
         assert step == tuple(value // content for value in ref)
         assert gcd(*step) == 1
@@ -253,8 +259,34 @@ def test_steps_yield_the_content_free_matrix_powers(coefficients, x, y, c, scale
             g = gcd(*image)
             assert det % g == 0
             assert step == tuple(value // g for value in image)
+        if ref[2] or ref[1]:
+            assert values == [Fraction(ref[0], ref[2] or ref[1])]
+            assert _canonical(values[0])
+        else:
+            assert values == []
         previous = step
         ref = (alpha * ref[1], beta * ref[0] + gamma * ref[1], ref[2] * D)
+
+
+def test_steps_read_the_start_once_whatever_the_chunks():
+    """A chunk of 0 reads nothing and steps nothing; a chunk of 1 reads the vector it is at; the next chunk steps first."""
+    A, B, a, b = Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6)
+    start, m = horadam._start(A, B, a, b, 3)
+    chunks = list(horadam._steps(*start, m, sizes=(0, 1, 0, 0, 2, 1)))
+    assert [values for values, _ in chunks] == [[], terms(A, B, a, b, 3, 3), [], [], terms(A, B, a, b, 4, 5), terms(A, B, a, b, 6, 6)]
+    (_, at_start), = horadam._steps(*start, m, sizes=(1,))
+    assert [vector for _, vector in chunks[:4]] == [at_start] * 4
+    (_, at_5), = horadam._steps(*horadam._start(A, B, a, b, 5)[0], m, sizes=(0,))
+    assert chunks[4][1] in (at_5, tuple(-v for v in at_5))
+    assert terms(A, B, a, b, 3, 2) == [] and horadam._orbit((1, B, A), a, b, 0) == ([], None)
+
+
+def test_an_orbit_from_an_infinite_seed_has_no_points():
+    """x/0 is infinite at index 0, so the orbit ends before its first point; the chunk still holds the seed's vector."""
+    assert horadam._orbit((Fraction(2, 3), 3, 5), 7, 0, 10) == ([], 0)
+    assert horadam._orbit((2, 3, 5), 0, 0, 10) == ([], 0)  # 0/0 ends at once too
+    (values, vector), = horadam._steps(2, 3, 5, -7, 0, 0, 1, 1, sizes=(10,))
+    assert values == [] and vector == (-1, 0, 0)
 
 
 def _orbit_reference(p, q, sign, x0, n):
@@ -486,15 +518,18 @@ def test_powered_start_equals_the_stepped_slice(A, B, a, b, start, width):
 @given(A=rationals, B=nonzero, a=rationals, b=rationals, lo=st.integers(-150, -1), offset=st.integers(0, 300))
 @example(A=Fraction(3, 2), B=Fraction(2, 5), a=Fraction(1, 4), b=Fraction(5, 6), lo=-151, offset=151)  # c < 0 from lo, c > 0 from k = 0
 def test_the_ints_at_an_index_do_not_depend_on_the_start(A, B, a, b, lo, offset):
-    """Yield k - lo of the run from a negative lo is, up to sign, the first yield of the run from k.
+    """The vector a run from a negative lo reads last at k = lo + offset is, up to sign, the one a run from k reads first.
 
-    Every yield is content-free, so its (x, y, c) is fixed up to sign by
+    Every vector is content-free, so its (x, y, c) is fixed up to sign by
     u(k) = x/c and u(k+1) = y/(c*D); a run from the adjugate's power steps
     the same ints at k >= 0 as a run from 0.
     """
     k = lo + offset
-    (x, y, c), = islice(horadam._steps(*horadam._start(A, B, a, b, lo)[0]), offset, offset + 1)
-    assert next(horadam._steps(*horadam._start(A, B, a, b, k)[0])) in ((x, y, c), (-x, -y, -c))
+    start, m = horadam._start(A, B, a, b, lo)
+    (_, (x, y, c)), = horadam._steps(*start, m, sizes=(offset + 1,))
+    start, m = horadam._start(A, B, a, b, k)
+    (_, at_k), = horadam._steps(*start, m, sizes=(1,))
+    assert at_k in ((x, y, c), (-x, -y, -c))
 
 
 @pytest.mark.parametrize("lo", [2**17, 2**17 + 1, -(2**17), 3 * 2**16, 10**5])
@@ -781,8 +816,8 @@ def _fractions_built(monkeypatch, run):
     Fraction(n, d) and Fraction(text) run a gcd there.  Calls that run none
     are not counted: on 3.10 and 3.11 Fraction's operators build their
     already reduced results with _normalize=False, and on 3.12 and later an
-    int operand is first converted by Fraction(k).  `_from_coprime` does not
-    call __new__ at all.
+    int operand is first converted by Fraction(k).  `horadam._steps` writes a
+    value's slots and does not call __new__ at all.
     """
     built = []
     new = Fraction.__new__
@@ -843,6 +878,106 @@ def test_ratio_streams_build_no_fraction_per_step(monkeypatch, name):
     assert run(50) and run(500)  # and fills the windows' caches
     counts = [_fractions_built(monkeypatch, lambda: run(n)) for n in (50, 500)]
     assert counts[0] == counts[1]
+
+
+def _python_calls(run) -> int:
+    """Number of Python-level calls during run(), each resumption of a generator included.
+
+    The collector is run first and held off during run(), so no finalizer of an earlier test's garbage
+    is counted.
+    """
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        calls += event == "call"
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+READS = {
+    "terms": lambda n: terms(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), 0, n),
+    "iterate_orbit": lambda n: iterate_orbit(PLUS_MAP, Fraction(1, 2), n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READS))
+def test_values_are_read_with_no_call_per_value(name):
+    """The Python call count of a window and of an orbit is the same at n = 50 and n = 500: no value costs a call."""
+    run = READS[name]
+    run(50)  # a first call may fill a cache
+    assert _python_calls(lambda: run(50)) == _python_calls(lambda: run(500))
+
+
+def test_a_counted_ratio_stream_costs_one_call_per_chunk():
+    """The first n ratios, counted, cost one resumption of the stepper per CHUNK of them, and no call per value.
+
+    So 500 take 500 // CHUNK - 50 // CHUNK more calls than 50, where a call per value would take 450 more.
+    """
+
+    def run(n):
+        return list(ratios(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), n))
+
+    run(50)
+    calls = [_python_calls(lambda: run(n)) for n in (50, 500)]
+    assert calls[1] - calls[0] == 500 // horadam.CHUNK - 50 // horadam.CHUNK
+
+
+def test_a_counted_ratio_stream_holds_one_chunk():
+    """Reading 4000 Fibonacci ratios one at a time peaks below 2*CHUNK times the last one's size.
+
+    A chunk is built whole before its first value is read, so the peak holds a whole chunk: chunks that
+    doubled in length held 2048 values at once by the end of this read.
+    """
+    tracemalloc.start()
+    try:
+        for last in ratios(1, 1, 0, 1, 4000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(last) + sys.getsizeof(last.numerator) + sys.getsizeof(last.denominator)
+    assert peak < 2 * horadam.CHUNK * size
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_a_counted_ratio_stream_steps_no_pair_past_its_count(monkeypatch, n):
+    """verify_convergence and forbidden_set give `ratios` the count they can read, one gcd per pair stepped.
+
+    So a seed that never converges steps the n + 1 pairs to its horizon n, and forbidden_set the n of its
+    depth; one that converges at first_step has stepped fewer than CHUNK pairs past it.
+    """
+    assert _gcds_run(monkeypatch, lambda: verify_convergence(GOLDEN_SEED, NEVER, horizon=n)) == n + 1
+    assert _gcds_run(monkeypatch, lambda: forbidden_set(PLUS_MAP, n)) == n
+    reports = []
+    stepped = _gcds_run(monkeypatch, lambda: reports.extend(verify_convergence(GOLDEN_SEED, Fraction(1, 10**9), n)))
+    first = reports[0].first_step
+    assert first + 1 <= stepped < first + 1 + horadam.CHUNK
+
+
+@pytest.mark.parametrize("zero_at", [0, 63, 64, 128])
+def test_a_ratio_stream_reads_none_at_a_zero_term_and_goes_on(zero_at):
+    """u(zero_at) = 0 at the stream's start, at the last value of its first chunk and at the first of its second and third.
+
+    The seeds F(zero_at), -F(zero_at - 1) of u(k+2) = u(k+1) + u(k) make u(k) = (-1)**(zero_at - 1)*F(k - zero_at)
+    by d'Ocagne's identity, zero exactly at zero_at; the stream reads None there and the ratios after it, counted
+    or not.
+    """
+    fib = terms(1, 1, 0, 1, -1, 200)  # fib[k + 1] = F(k)
+    a, b = fib[zero_at + 1], -fib[zero_at]
+    ref = reference(Fraction(1), Fraction(1), a, b, 0, 200)
+    assert ref[zero_at] == 0
+    expected = [ref[k + 1] / ref[k] if ref[k] else None for k in range(200)]
+    assert list(ratios(1, 1, a, b, 200)) == expected
+    assert list(islice(ratios(1, 1, a, b), 200)) == expected
 
 
 def _gcds_run(monkeypatch, run, big=0):
@@ -919,12 +1054,20 @@ def test_window_terms_take_a_bounded_number_of_small_gcds(monkeypatch, name):
 
 @pytest.mark.parametrize("e", [1, 7, 1000, 4097])
 def test_coprime_strips_a_common_factor_in_logarithmically_many_rounds(monkeypatch, e):
-    """6**e is stripped as its largest square-power factors, one gcd per round, not one round per 6."""
+    """6**e is stripped from a window term as its largest square-power factors, one gcd per round, not one round per 6.
+
+    The term is x/c of the content-free vector (x, 1, c) read with m = 6; the one gcd more is the start's.
+    """
     reduced = []
-    calls = _gcds_run(monkeypatch, lambda: reduced.append(horadam._coprime(5 * 6**e, 2**e * 3 ** (2 * e), 6)))
-    assert reduced == [(5, 3**e)]
-    assert calls <= e.bit_length() + 1
-    assert _gcds_run(monkeypatch, lambda: reduced.append(horadam._coprime(0, 6**e, 6))) == 0
-    assert reduced[1] == (0, 1)
-    negative = _gcds_run(monkeypatch, lambda: reduced.append(horadam._coprime(5 * 6**e, -(2**e) * 3 ** (2 * e), 6)))
-    assert reduced[2] == (5, -(3**e)) and negative == calls  # the sign of d changes no round
+
+    def read(x, c):
+        (values, _), = horadam._steps(1, 1, 0, x, 1, c, 1, 6, sizes=(1,))
+        reduced.extend(values)
+
+    calls = _gcds_run(monkeypatch, lambda: read(5 * 6**e, 2**e * 3 ** (2 * e)))
+    assert reduced == [Fraction(5, 3**e)]
+    assert calls <= e.bit_length() + 2
+    assert _gcds_run(monkeypatch, lambda: read(0, 6**e)) == 1
+    assert reduced[1] == 0 and reduced[1].denominator == 1
+    negative = _gcds_run(monkeypatch, lambda: read(5 * 6**e, -(2**e) * 3 ** (2 * e)))
+    assert reduced[2] == Fraction(-5, 3**e) and negative == calls  # the sign of c changes no round
