@@ -112,7 +112,7 @@ def ratio_trace(seed: PeriodicSeed, offset_index: int, n_min: int = 0, n_max: in
         raise DomainError(f"degenerate all-zero lattice at offset {offset}")
     A, B = seed.kind.plus_form()
     values = terms(A, B, f0, f1, n_min, n_max + 1)
-    ratio_values, stop = _orbit((1, B, A), values[0], values[1], n_max + 1 - n_min)
+    ratio_values, stop = _orbit(A, B, values[0], values[1], n_max + 1 - n_min)
     undefined_at = None if stop is None else n_min + stop
     return LatticeTrace(offset, n_min, tuple(values), tuple(ratio_values), undefined_at)
 

@@ -36,26 +36,25 @@ reached by powering the companion's adjugate (P, -1, -Q, 0), -Q times its
 inverse, and the run from it steps forward as from any other start, so one
 integer path serves indices of either sign.
 
-One int stepper, `_steps`, serves windows and ratio streams alike, and it
-steps one shape, the paper's map z -> alpha/(beta*z + gamma), whose
-linearisation makes every ratio stream here one of its orbits: on an int
-vector (x, y, c), (x, y) -> (alpha*y, beta*x + gamma*y) and c -> c*D.  Each
-image is divided by its content, which divides the small -alpha*beta, the
-det of [[0, alpha], [beta, gamma]], so every step takes one gcd with that
-small int as an operand.  The start's content, gcd(c, x, y), is the one gcd
-that may have only big operands, as at a window far out.  Its one loop reads
-each value off the vector and writes the reduced Fraction's slots itself, so
-a value costs its step and its reduction and no Python call.  A window, one
-term included, runs `_start`'s (1, Q, P) on c = E*D**lo, or
-E*(-Q/D)**(-lo) for lo < 0, with u(k) = x/c and u(k+1) = y/(c*D); the
+One int stepper, `_steps`, serves windows and quotient streams alike.  It
+steps an int vector (x, y, c) by (x, y) -> (alpha*y, beta*x + gamma*y) and
+c -> c*D, and divides each image by its content, which divides the small
+-alpha*beta, the det of [[0, alpha], [beta, gamma]], so every step takes one
+gcd with that small int as an operand.  The start's content, gcd(c, x, y), is
+the one gcd that may have only big operands, as at a window far out.  Its
+one loop reads each value off the vector and writes the reduced Fraction's
+slots itself, so a value costs its step and its reduction and no Python
+call.  A window, one term included, runs `_start`'s (1, Q, P) on c = E*D**lo,
+or E*(-Q/D)**(-lo) for lo < 0, with u(k) = x/c and u(k+1) = y/(c*D); the
 common factor of a term x/c divides a power of E*Q, so gcds against E*Q
 strip it.  As every vector is content-free, the ints at an index are the
-same up to sign from any start.  A ratio stream is an orbit run on c = 0 as
-coprime pairs: `_orbit` clears its (alpha, beta, gamma) and seed to ints
-once and reads x/y, ending before the first infinite point and reporting
-its index.  t(k)/t(k+1) of a recurrence is the orbit of (1, B, A); `ratios`
-steps it from (u(0), u(1)), reading each pair upside down, CHUNK pairs per
-resumption up to the count its reader needs, or one at a time without one.
+same up to sign from any start.  A quotient stream runs on c = 0, the pairs
+(u(k), u(k+1)) as coprime ints, stepped by the recurrence's (1, B, A) and
+seed cleared to ints once: `_orbit` reads u(k)/u(k+1), ending before the
+first zero u(k+1) and reporting its index, and `ratios` reads u(k+1)/u(k),
+CHUNK pairs per resumption up to the count its reader needs.  Every orbit in
+the library is such a stream: x(n) = t(n)/t(n+1) makes a Riccati orbit the
+quotients of the map's linearisation.
 """
 
 from __future__ import annotations
@@ -208,25 +207,25 @@ def _ints(*values) -> list[int]:
     return [value.numerator * (D // value.denominator) for value in values]
 
 
-def _orbit(coefficients: tuple, x, y, count: int) -> tuple[list[Fraction], int | None]:
-    """At most `count` points of z -> alpha/(beta*z + gamma) from x/y, ending before the first infinite one.
+def _orbit(A, B, a, b, count: int) -> tuple[list[Fraction], int | None]:
+    """u(k)/u(k+1) of u(k+2) = A*u(k+1) + B*u(k) from (a, b) for k < count, ending before the first zero u(k+1).
 
-    They come with its index (a zero denominator, or a 0/0 seed), or None; `coefficients` is (alpha, beta, gamma).
+    They come with that k, 0 also for a = b = 0, or None.
     """
-    (values, _), = _steps(*_ints(*coefficients), *_ints(x, y), 0, 1, 1, sizes=(count,))
+    (values, _), = _steps(*_ints(1, B, A), *_ints(a, b), 0, 1, 1, sizes=(count,))
     return values, (len(values) if len(values) < count else None)
 
 
-CHUNK = 64  # values a counted ratio stream steps per resumption of `_steps`
+CHUNK = 64  # values a ratio stream steps per resumption of `_steps`
 
 
-def ratios(A, B, a, b, count=None) -> Iterator[Fraction | None]:
-    """u(k+1)/u(k) for k = 0 .. count - 1, or without end, None where u(k) = 0: z -> 1/(B*z + A) from a/b, upside down.
+def ratios(A, B, a, b, count: int) -> Iterator[Fraction | None]:
+    """u(k+1)/u(k) for k = 0 .. count - 1, None where u(k) = 0: `_orbit`'s pairs read upside down.
 
-    With a count they are stepped CHUNK at a time, the last chunk trimmed to the count, so a reader that
-    stops early has had fewer than CHUNK more stepped and none past the count; without one, one at a time.
+    They are stepped CHUNK at a time, the last chunk trimmed to the count, so a reader that stops early
+    has had fewer than CHUNK more stepped and none past the count.
     """
-    sizes = repeat(1) if count is None else chain(repeat(CHUNK, count // CHUNK), (count % CHUNK,))
+    sizes = chain(repeat(CHUNK, count // CHUNK), (count % CHUNK,))
     chunks = _steps(*_ints(1, B, A), *_ints(a, b), 0, 1, 1, sizes=sizes, upside_down=True)
     return chain.from_iterable(map(itemgetter(0), chunks))
 

@@ -1,26 +1,23 @@
 """Orbits, closed forms, forbidden sets and fixed points of x(n+1) = q/(±p + x(n)).
 
 The substitution x(n) = t(n)/t(n+1) turns the map into the linear recurrence
-t(n+1) = (p/q)*t(n) + (1/q)*t(n-1), which is what makes an exact closed form
-in terms of fundamental Lucas numbers possible.  `substitution_check` replays
-that derivation and decides its identities for every step from a few terms.
+t(n+2) = (sign*p/q)*t(n+1) + (1/q)*t(n), which is what makes an exact closed
+form in terms of fundamental Lucas numbers possible.  `RiccatiParams` writes
+that linearisation once.  `iterate_orbit` is the one stepper: it reads the
+orbit of x0 as the quotients t(k)/t(k+1) from (t(0), t(1)) = (x0, 1) off
+`horadam._orbit`, which ends before the first zero t(k+1), the step where
+the orbit meets the pole.  `classify_initial` reads its classification, so
+x0 is forbidden at depth m exactly when the orbit meets the pole at step m.
+
 The closed form reads one sequence s(k) = u(k+1) + u(k)*sign*x0, u the
-fundamental Lucas sequence of the "+" form (p, q): the value
-x(k) = sign*q*s(k-1)/s(k), refused at the first zero of s, and the forbidden
-set, the values -sign*u(m+1)/u(m).
-
-An initial value's fate is decided by its orbit alone: `iterate_orbit` is the
-one stepper, and `classify_initial` reads its classification, so x0 is
-forbidden at depth m exactly when the orbit meets the pole at step m.
-
-The map's matrix (q, 1, sign*p) is written once, in `iterate_orbit`, which
-reads the orbit and the step where it meets its pole off `horadam._orbit` of
-z -> alpha/(beta*z + gamma).  The closed form and `substitution_check` read
-that one orbit: s(k-1)/s(k) steps by z -> 1/(q*z + p), and x = sign*q*z
-turns that step into the map's own, so the closed form's values are the
-orbit's and its refusal depth is the orbit's pole step.  `substitution_check`
-reads its t window from `horadam.terms`, so the kernel's clearing scale stays
-inside `horadam`.  No step runs a gcd of two big ints.
+fundamental Lucas sequence of the "+" form (p, q).  From (x0, 1),
+q**k*t(k) = sign**(k+1)*q*s(k-1), so the closed form's value
+x(k) = sign*q*s(k-1)/s(k) is the orbit's and its refusal, at the first zero
+of s, is the orbit's pole step.  The forbidden set is the values
+-sign*u(m+1)/u(m).  `substitution_check` reads its t window off the same
+linearisation with `horadam.terms` and decides its identities for every
+step from a few terms, so the kernel's clearing scale stays inside
+`horadam`.  No step runs a gcd of two big ints.
 
 The minus branch is the plus branch conjugated by x -> -x, as -q/(x - p) =
 q/(p + (-x)); `RiccatiParams.sign` applies that negation at the boundary.
@@ -71,6 +68,10 @@ class RiccatiParams(_Record):
     def plus_form(self) -> tuple[Fraction, Fraction]:
         """(A, B) = (p, q) of the "+" form u(k+2) = A*u(k+1) + B*u(k) behind the closed forms."""
         return self.p, self.q
+
+    def _linear_form(self) -> tuple[Fraction, Fraction]:
+        """(A, B) = (sign*p/q, 1/q) of t(n+2) = A*t(n+1) + B*t(n), whose quotients t(n)/t(n+1) are the orbits."""
+        return self._shift / self.q, 1 / self.q
 
     def pole(self) -> Fraction:
         """The unique input with a vanishing denominator (also the depth-1 forbidden value)."""
@@ -123,7 +124,7 @@ def iterate_orbit(params: RiccatiParams, x0: Fraction | int | str, n: int) -> Or
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
-    trajectory, pole_step = _orbit((params.q, 1, params._shift), x0, 1, n + 1)
+    trajectory, pole_step = _orbit(*params._linear_form(), x0, 1, n + 1)
     if pole_step is not None:
         classification = Classification("forbidden", pole_step)
     elif params.denominator_at(x0) == 0:
@@ -240,7 +241,7 @@ def substitution_check(
         raise DomainError("t1 = 0 leaves x0 = t0/t1 undefined")
 
     p, q = params.plus_form()
-    t = terms(p / q, 1 / q, t0, t1, 0, n + 1)
+    t = terms(*params._linear_form(), t0, t1, 0, n + 1)
     orbit = iterate_orbit(params, t0 / t1, n)
     pole_step = next((k for k in range(n + 1) if not t[k + 1]), None)
     ratio_values = orbit.trajectory[:pole_step]

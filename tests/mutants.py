@@ -20,12 +20,14 @@ them, not by the benchmark's smoke deck under bench/, whose requests may
 change.  Hypothesis' example database is removed before each run, so every
 run draws the same examples and the set of killed mutants is reproducible.
 A mutant is killed when either run fails, so the whole suite still decides
-one whose KILLER no longer kills it.  The copy is needed because
-pyproject's `pythonpath = ["src"]` puts the checkout's own src/ first, so no
-PYTHONPATH can point pytest at a mutated tree.
+one whose KILLER no longer kills it.  A run that does not end within
+TIMEOUT_S seconds is no kill: it fails the gate with a TIMEOUT line, since a
+suite that hangs on a broken kernel hangs Tier-1 too.  The copy is needed
+because pyproject's `pythonpath = ["src"]` puts the checkout's own src/
+first, so no PYTHONPATH can point pytest at a mutated tree.
 
-Exit status 0 when every mutant is killed; 1 when one survives or no longer
-applies, each named on stderr.
+Exit status 0 when every mutant is killed; 1 when one survives, times out or
+no longer applies, each named on stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
-TIMEOUT_S = 600  # a mutant that hangs the suite is killed too, but reported as such
+TIMEOUT_S = 600  # a run past this fails the gate with a TIMEOUT line
 
 # (file under src/aurea, old, new, why, killer): each a one-line change that breaks a documented
 # behaviour, and the file under tests/ that kills it
@@ -75,9 +77,10 @@ MUTANTS = [
     ),
     (
         "riccati.py",
-        "_orbit((params.q, 1, params._shift), x0, 1, n + 1)",
-        "_orbit((params.q, 1, params.p), x0, 1, n + 1)",
-        "iterate_orbit steps the plus branch's map on the minus branch too",
+        "return self._shift / self.q, 1 / self.q",
+        "return self.p / self.q, 1 / self.q",
+        "the map's linearisation drops the branch sign, so iterate_orbit steps the plus branch's map on the minus "
+        "branch too",
         "test_riccati.py",
     ),
     (
@@ -300,6 +303,27 @@ MUTANTS = [
         "a counted ratio stream fills its last chunk, stepping and handing out ratios past its count",
         "test_kernel.py",
     ),
+    (
+        "horadam.py",
+        "_steps(*_ints(1, B, A), *_ints(a, b), 0, 1, 1, sizes=(count,))",
+        "_steps(*_ints(1, A, B), *_ints(a, b), 0, 1, 1, sizes=(count,))",
+        "the quotient reader swaps A and B, so every orbit but one with A = B steps the wrong recurrence",
+        "test_riccati.py",
+    ),
+    (
+        "horadam.py",
+        "for i in range(read, read + size):",
+        "for i in range(read, read - size):",
+        "every read of _steps is empty, so every orbit reports a pole at step 0 and every window is empty",
+        "test_horadam.py",
+    ),
+    (
+        "fibfunc.py",
+        "if period <= 0:",
+        "if period < 0:",
+        "PeriodicSeed lets period 0 through to the offset check, which refuses it as 'offset 0 outside [0, 0)'",
+        "test_fibfunc.py",
+    ),
 ]
 
 
@@ -312,8 +336,11 @@ def _mutate(path: Path, old: str, new: str) -> str | None:
     return text
 
 
-def _run_suite(checkout: Path, killer: str) -> tuple[bool, str]:
-    """(killed, how): tests/killer is run in the checkout, and then, if it passes, all of tests/."""
+def _run_suite(checkout: Path, killer: str) -> tuple[str, str]:
+    """(verdict, how): tests/killer is run in the checkout, and then, if it passes, all of tests/.
+
+    The verdict is "killed" when a run fails, "TIMEOUT" when one does not end, and "SURVIVED" otherwise.
+    """
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     for target in (f"tests/{killer}", "tests"):
         shutil.rmtree(checkout / ".hypothesis", ignore_errors=True)
@@ -322,12 +349,12 @@ def _run_suite(checkout: Path, killer: str) -> tuple[bool, str]:
                 [*PYTEST, target], cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
             )
         except subprocess.TimeoutExpired:
-            return True, f"{target} timed out after {TIMEOUT_S} s"
+            return "TIMEOUT", f"{target} did not end in {TIMEOUT_S} s"
         lines = result.stdout.strip().splitlines()
         how = f"{target}: {lines[-1] if lines else f'exit {result.returncode}'}"
         if result.returncode != 0:
-            return True, how
-    return False, how
+            return "killed", how
+    return "SURVIVED", how
 
 
 def main() -> int:
@@ -346,12 +373,12 @@ def main() -> int:
                 continue
             clock = time.perf_counter()
             try:
-                killed, how = _run_suite(checkout, killer)
+                verdict, how = _run_suite(checkout, killer)
             finally:
                 path.write_text(original)
-            print(f"{'killed ' if killed else 'SURVIVED'} {time.perf_counter() - clock:6.1f} s  {label}: {how}", flush=True)
-            if not killed:
-                failures.append(f"{label} survived the suite")
+            print(f"{verdict:8} {time.perf_counter() - clock:6.1f} s  {label}: {how}", flush=True)
+            if verdict != "killed":
+                failures.append(f"{label}: {verdict}, {how}")
         print(f"{len(MUTANTS)} mutants in {time.perf_counter() - started:.1f} s", flush=True)
     for failure in failures:
         print(failure, file=sys.stderr)

@@ -60,7 +60,7 @@ def _random_riccati(rng):
 def test_c01_closed_form_oracle_equivalence():
     rng = random.Random(20260809)
     cases = 0
-    while cases < 500:
+    for _ in range(10 * 500):  # capped: a kernel that reports a pole for every seed fails, not hangs
         params = _random_riccati(rng)
         den = rng.randint(1, 3)
         x0 = Fraction(rng.randint(-10 * den, 10 * den), den)
@@ -73,13 +73,16 @@ def test_c01_closed_form_oracle_equivalence():
         n = rng.randint(0, 300)
         assert closed_form_term(params, x0, n) == orbit.trajectory[n]
         cases += 1
+        if cases == 500:
+            break
+    assert cases == 500, f"{cases} of 500 cases in {10 * 500} draws"
     _report(1, "closed form equals the iterated orbit and the paper's formula exactly for 500 cases, n <= 300")
 
 
 def test_c02_substitution_derivation():
     rng = random.Random(20260810)
     cases = 0
-    while cases < 100:
+    for _ in range(10 * 100):  # capped: a kernel that reports a pole for every seed fails, not hangs
         den = rng.randint(1, 3)
         p = Fraction(rng.randint(1, 10 * den), den)
         q = Fraction(rng.randint(1, 10 * den), den)
@@ -91,6 +94,9 @@ def test_c02_substitution_derivation():
             continue
         assert report.passed
         cases += 1
+        if cases == 100:
+            break
+    assert cases == 100, f"{cases} of 100 cases in {10 * 100} draws"
     # the (t0, t1) = (0, 1) seed reproduces t(n) = q**(1-n) * u(n) exactly
     params = RiccatiParams(Fraction(3, 2), Fraction(5, 3), "plus")
     report = substitution_check(params, 0, 1, 100)
@@ -166,7 +172,7 @@ def test_c06_case1_negative_seeds():
     phi = GOLDEN_RATIO
     std = RatioParams(1, 1, "standard")
     cases = 0
-    while cases < 50:
+    for _ in range(10 * 50):  # capped: a kernel that reports a pole for every seed fails, not hangs
         g0 = Fraction(rng.randint(-100, -1), rng.randint(1, 10))
         orbit = ratio_orbit(std, g0, 60)
         if not orbit.completed:
@@ -175,6 +181,9 @@ def test_c06_case1_negative_seeds():
             assert closed_form_ratio(g0, n) == orbit.trajectory[n]
         assert abs_lt(1 / orbit.trajectory[60] - phi, EPS_9)
         cases += 1
+        if cases == 50:
+            break
+    assert cases == 50, f"{cases} of 50 cases in {10 * 50} draws"
     _report(6, "50 negative seeds: closed form equals orbit; reciprocal within 1e-9 of phi by n = 60")
 
 
@@ -226,7 +235,7 @@ def test_c11_difference_identity():
     rng = random.Random(20260815)
     std = RatioParams(1, 1, "standard")
     cases = 0
-    while cases < 100:
+    for _ in range(10 * 100):  # capped: a kernel that reports a pole for every seed fails, not hangs
         g0 = Fraction(rng.randint(-60, 60), rng.randint(1, 8))
         length = rng.randint(3, 200)
         orbit = ratio_orbit(std, g0, length)
@@ -234,6 +243,9 @@ def test_c11_difference_identity():
             continue
         assert all(difference_identity_check(orbit.trajectory))
         cases += 1
+        if cases == 100:
+            break
+    assert cases == 100, f"{cases} of 100 cases in {10 * 100} draws"
     _report(11, "the exact step-difference identity holds on 100 random standard orbits up to length 200")
 
 

@@ -42,7 +42,7 @@ def test_a_stepped_value_is_the_fraction_the_constructor_builds():
     rng = random.Random(19)
     others = [Fraction(-7, 12), Fraction(3), Fraction(2**70 + 1, 3**40)]
     for n, d in _coprime_pairs(rng, 400):
-        (built,), _ = _orbit((1, 1, 0), n, d, 1)
+        (built,), _ = _orbit(0, 1, n, d, 1)
         ref = Fraction(n, d)
         assert isinstance(built, Fraction) and type(built) is Fraction
         assert (built.numerator, built.denominator) == (ref.numerator, ref.denominator)

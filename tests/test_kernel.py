@@ -11,9 +11,10 @@ coefficients'.
 
 The ratio streams on coprime int pairs (`ratios`, `iterate_orbit`, the
 closed form, `forbidden_set`, `ratio_trace` and `substitution_check`) are
-checked the same way, and `horadam._orbit`, which all of them but `ratios`
-and `forbidden_set` read, against a Fraction stepper of the one map it
-steps, z -> alpha/(beta*z + gamma).  `horadam._steps`, the one int stepper
+checked the same way, and `horadam._orbit`, the quotient reader all of them
+but `ratios` and `forbidden_set` read, against a Fraction stepper of
+z -> alpha/(beta*z + gamma), read as the quotients of the recurrence
+(A, B) = (gamma/alpha, beta/alpha).  `horadam._steps`, the one int stepper
 under all of them and under the windows, is checked against plain powers of
 that map's matrix [[0, alpha], [beta, gamma]].  `substitution_check`, which
 decides its identities from the first terms of its window, is checked
@@ -157,7 +158,7 @@ def test_ratios_match_the_fraction_stepper(A, B, a, b, scale, count):
     a, b = scale * a, scale * b
     ref = reference(A, B, a, b, 0, count)
     expected = [ref[k + 1] / ref[k] if ref[k] != 0 else None for k in range(count + 1)]
-    got = list(islice(ratios(A, B, a, b), count + 1))
+    got = list(ratios(A, B, a, b, count + 1))
     assert got == expected
     assert all(ratio is None or _canonical(ratio) for ratio in got)
 
@@ -188,7 +189,7 @@ entry = rationals | st.integers(-9, 9) | squared
 
 
 def _recurrence(A, B, a, b, scale, count):
-    """_orbit's arguments for t(k)/t(k+1) of t(k+2) = A*t(k+1) + B*t(k), from the seeds scaled by a common factor."""
+    """The test's arguments for t(k)/t(k+1) of t(k+2) = A*t(k+1) + B*t(k), the orbit of (1, B, A), from scaled seeds."""
     return dict(coefficients=(1, B, A), x=scale * a, y=scale * b, count=count + 1)
 
 
@@ -205,15 +206,20 @@ def _recurrence(A, B, a, b, scale, count):
 @example(coefficients=(Fraction(8, 9), 1, Fraction(-4, 27)), x=Fraction(1, 2), y=1, count=60, pole_at=25)  # det < 0
 @example(coefficients=(-1, 3, 5), x=-4, y=6, count=40, pole_at=17)  # int entries, det > 0
 def test_orbit_matches_the_mobius_stepper(coefficients, x, y, count, pole_at):
-    """The points and stop of a drawn seed and of one pulled back from infinity by `pole_at` steps."""
-    alpha, beta, _ = coefficients
+    """The points and stop of a drawn seed and of one pulled back from infinity by `pole_at` steps.
+
+    z -> alpha/(beta*z + gamma) is z -> 1/(B*z + A) for (A, B) = (gamma/alpha, beta/alpha), whose orbit
+    from x/y is the quotients u(k)/u(k+1) of u(k+2) = A*u(k+1) + B*u(k) from (x, y).
+    """
+    alpha, beta, gamma = coefficients
     assume(alpha * beta != 0)
+    A, B = Fraction(gamma) / alpha, Fraction(beta) / alpha
     for seed in ((x, y), _pulled_back_pole(coefficients, pole_at)):
-        points, stop = horadam._orbit(coefficients, *seed, count)
+        points, stop = horadam._orbit(A, B, *seed, count)
         assert (points, stop) == _mobius_reference(coefficients, *seed, count)
         assert all(_canonical(z) for z in points)
     if pole_at < count:  # a Möbius map of finite order may meet infinity before `pole_at`, never after it
-        assert horadam._orbit(coefficients, *_pulled_back_pole(coefficients, pole_at), count)[1] <= pole_at
+        assert horadam._orbit(A, B, *_pulled_back_pole(coefficients, pole_at), count)[1] <= pole_at
 
 
 small_int = st.integers(-9, 9)
@@ -278,13 +284,13 @@ def test_steps_read_the_start_once_whatever_the_chunks():
     assert [vector for _, vector in chunks[:4]] == [at_start] * 4
     (_, at_5), = horadam._steps(*horadam._start(A, B, a, b, 5)[0], m, sizes=(0,))
     assert chunks[4][1] in (at_5, tuple(-v for v in at_5))
-    assert terms(A, B, a, b, 3, 2) == [] and horadam._orbit((1, B, A), a, b, 0) == ([], None)
+    assert terms(A, B, a, b, 3, 2) == [] and horadam._orbit(A, B, a, b, 0) == ([], None)
 
 
 def test_an_orbit_from_an_infinite_seed_has_no_points():
     """x/0 is infinite at index 0, so the orbit ends before its first point; the chunk still holds the seed's vector."""
-    assert horadam._orbit((Fraction(2, 3), 3, 5), 7, 0, 10) == ([], 0)
-    assert horadam._orbit((2, 3, 5), 0, 0, 10) == ([], 0)  # 0/0 ends at once too
+    assert horadam._orbit(Fraction(15, 2), Fraction(9, 2), 7, 0, 10) == ([], 0)  # z -> (2/3)/(3*z + 5)
+    assert horadam._orbit(Fraction(5, 2), Fraction(3, 2), 0, 0, 10) == ([], 0)  # 0/0 ends at once too
     (values, vector), = horadam._steps(2, 3, 5, -7, 0, 0, 1, 1, sizes=(10,))
     assert values == [] and vector == (-1, 0, 0)
 
@@ -584,7 +590,7 @@ def test_int_inputs_return_the_int_values():
 def _first_hit_oracle(A, B, f0, f1, target, eps, horizon):
     """The formulation verify_convergence replaced: abs_lt(ratio - target, eps) per step of horadam.ratios."""
     first_step, achieved = None, None
-    for n, ratio in zip(range(horizon + 1), ratios(A, B, f0, f1)):
+    for n, ratio in enumerate(ratios(A, B, f0, f1, horizon + 1)):
         if ratio is not None:
             achieved = ratio
             if abs_lt(ratio - target, eps):
@@ -968,8 +974,7 @@ def test_a_ratio_stream_reads_none_at_a_zero_term_and_goes_on(zero_at):
     """u(zero_at) = 0 at the stream's start, at the last value of its first chunk and at the first of its second and third.
 
     The seeds F(zero_at), -F(zero_at - 1) of u(k+2) = u(k+1) + u(k) make u(k) = (-1)**(zero_at - 1)*F(k - zero_at)
-    by d'Ocagne's identity, zero exactly at zero_at; the stream reads None there and the ratios after it, counted
-    or not.
+    by d'Ocagne's identity, zero exactly at zero_at; the stream reads None there and the ratios after it.
     """
     fib = terms(1, 1, 0, 1, -1, 200)  # fib[k + 1] = F(k)
     a, b = fib[zero_at + 1], -fib[zero_at]
@@ -977,7 +982,6 @@ def test_a_ratio_stream_reads_none_at_a_zero_term_and_goes_on(zero_at):
     assert ref[zero_at] == 0
     expected = [ref[k + 1] / ref[k] if ref[k] else None for k in range(200)]
     assert list(ratios(1, 1, a, b, 200)) == expected
-    assert list(islice(ratios(1, 1, a, b), 200)) == expected
 
 
 def _gcds_run(monkeypatch, run, big=0):
@@ -1012,7 +1016,7 @@ def test_one_gcd_per_pair_stepped(monkeypatch, n):
     """
 
     def stream():
-        return list(islice(ratios(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6)), n))
+        return list(ratios(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4), Fraction(5, 6), n))
 
     _memoize_windows(monkeypatch)
     ratio_trace(ODD_SEED, 0, 0, n)

@@ -284,7 +284,7 @@ def test_case1_negative_seed_consistency():
     rng = random.Random(103)
     phi = GOLDEN_RATIO
     checked = 0
-    while checked < 10:
+    for _ in range(10 * 10):  # capped: a kernel that reports a pole for every seed fails, not hangs
         g0 = Fraction(rng.randint(-40, -1), rng.randint(1, 6))
         orbit = ratio_orbit(STD, g0, 60)
         if not orbit.completed or orbit.classification.label() != "regular":
@@ -294,6 +294,9 @@ def test_case1_negative_seed_consistency():
         reciprocal = 1 / orbit.trajectory[60]
         assert abs_lt(reciprocal - phi, Fraction(1, 10**9))
         checked += 1
+        if checked == 10:
+            break
+    assert checked == 10, f"{checked} of 10 cases in {10 * 10} draws"
 
 
 def test_params_validation():

@@ -277,7 +277,7 @@ def test_forbidden_depth_is_where_the_iterated_orbit_meets_the_pole(p, q, branch
 def _multiplied_closed_form(params, x0, n):
     """The closed form with one Fraction multiply per value, sign*q*s(k-1)/s(k), or the text of its refusal."""
     A, B = params.plus_form()
-    s_ratios, stop = _orbit((1, B, A), 1, A + params.sign * x0, n)
+    s_ratios, stop = _orbit(A, B, 1, A + params.sign * x0, n)
     if stop is not None:
         return None, f"initial value {x0} is forbidden at depth {stop + 1}"
     return [x0] + [params.sign * params.q * ratio for ratio in s_ratios], None

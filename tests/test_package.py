@@ -1,7 +1,9 @@
 """The package surface: `aurea` re-exports every module's `__all__` and nothing twice.
 
-`riccati` reads the recurrence kernel only through its value readers, so the
-kernel's clearing scale stays private to `horadam`.
+`riccati`, `limits` and `fibfunc` read the recurrence kernel only through its
+readers, so the kernel's clearing scale stays private to `horadam`, and every
+orbit they read is given as a "+" form recurrence (A, B), never as the Möbius
+triple that `horadam` steps.
 """
 
 import ast
@@ -49,12 +51,36 @@ def test_all_is_the_union_of_the_module_lists():
         assert name in aurea.__all__
 
 
-def test_riccati_reads_the_kernel_through_its_readers_alone():
-    tree = ast.parse(Path(riccati.__file__).read_text(encoding="utf-8"))
-    imported = {
+def _kernel_imports(module):
+    """The names `module` imports from `horadam`."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "horadam" and node.level == 1
         for alias in node.names
     }
+
+
+def test_riccati_reads_the_kernel_through_its_readers_alone():
+    imported = _kernel_imports(riccati)
     assert imported and imported <= {"_orbit", "ratios", "terms"}
+
+
+def test_limits_and_fibfunc_read_the_kernel_through_its_readers_alone():
+    for module in (limits, fibfunc):
+        imported = _kernel_imports(module)
+        assert imported and imported <= {"_orbit", "ratios", "terms"}, module.__name__
+
+
+def test_no_orbit_is_read_from_a_triple_outside_horadam():
+    """Every call to `_orbit` outside `horadam` passes the recurrence's (A, B), not a tuple of coefficients."""
+    calls = [
+        (path.name, node.lineno, node.args)
+        for path in sorted(Path(horadam.__file__).parent.glob("*.py"))
+        if path.name != "horadam.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_orbit"
+    ]
+    assert {name for name, _, _ in calls} == {"fibfunc.py", "riccati.py"}
+    assert [(name, line) for name, line, args in calls if any(isinstance(arg, ast.Tuple) for arg in args)] == []
